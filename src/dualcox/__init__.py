@@ -7,8 +7,9 @@ action on them, parabolic closures of elements, reflection subgroups with
 their canonical generators, and the commuting cycle-type decomposition that
 generalizes the disjoint-cycle decomposition of permutations.
 
-Everything is exact: coordinates live in Q or Q(sqrt 5) and all linear
-algebra is fraction based.
+Everything is exact: coordinates live in Q or Q(sqrt 5), elements are signed
+permutations of the positive roots, and absolute order is read off sums of
+root orbits.
 """
 
 from .algebra import Matrix, Scalar
@@ -17,17 +18,14 @@ from .coxeter import (
     CoxeterSystem,
     Element,
     build_group,
-    canonical_s_word,
     classical_order,
     classical_root_count,
-    conjugate_reflection,
     element_from_matrix,
     element_from_refl_word,
     element_from_simple_word,
     embed_by_roots,
     enumerate_group,
     is_conjugate,
-    matrix_of,
 )
 from .cycles import (
     AllDecompositions,
@@ -41,13 +39,11 @@ from .cycles import (
     verify_decomposition,
 )
 from .dual import (
-    MovData,
     RedSet,
     absolute_leq,
     below_reflections,
     first_reduced_word,
     iter_reduced,
-    mov_data,
     parabolic_closure,
     reduced_expressions,
     reflection_below,

@@ -1,9 +1,10 @@
 """Exact scalar arithmetic in Q(sqrt 5) and small dense linear algebra over it.
 
 Scalars are pairs of ``fractions.Fraction``; rational values are the ``b == 0``
-subcase.  All elimination routines stay inside the field, so ranks, kernels
-and span tests are exact.  Pivoting picks the first nonzero entry in column
-order: with exact arithmetic there is no reason to prefer large pivots.
+subcase.  Elimination stays inside the field, so kernels and inverses are
+exact; it serves group construction and the matrices of elements.  Pivoting
+picks the first nonzero entry in column order: with exact arithmetic there
+is no reason to prefer large pivots.
 """
 
 from __future__ import annotations
@@ -226,10 +227,6 @@ def vec_dot(u: Vector, v: Vector) -> Scalar:
     return acc
 
 
-def vec_is_zero(u: Vector) -> bool:
-    return not any(u)
-
-
 # -- matrices ----------------------------------------------------------
 
 
@@ -340,13 +337,6 @@ def _rref(rows: list) -> tuple[list, list[int]]:
     return rows, pivots
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank via Gaussian elimination."""
-    rows = [list(r) for r in m.rows]
-    _, pivots = _rref(rows)
-    return len(pivots)
-
-
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Exact basis of ker(m), one vector per free column, in column order."""
     if m.n_rows == 0 or m.n_cols == 0:
@@ -365,44 +355,6 @@ def kernel_basis(m: Matrix) -> list[Vector]:
             v[p] = -rred[r][free]
         basis.append(tuple(v))
     return basis
-
-
-def fixed_space_dim(m: Matrix) -> int:
-    """dim ker(m - I) for a square matrix."""
-    if m.n_rows != m.n_cols:
-        raise ValueError("fixed_space_dim requires a square matrix")
-    return m.n_rows - rank(m - Matrix.identity(m.n_rows))
-
-
-def in_span(v: Vector, basis) -> bool:
-    """Whether v lies in the exact linear span of the given vectors."""
-    basis = list(basis)
-    if any(len(b) != len(v) for b in basis):
-        raise ValueError("dimension mismatch")
-    if not basis:
-        return vec_is_zero(v)
-    rows = [list(b) for b in basis]
-    rred, pivots = _rref(rows)
-    return reduces_to_zero(v, rred, pivots)
-
-
-def reduces_to_zero(v: Vector, rref_rows, pivots) -> bool:
-    """Span test against an already reduced basis (rows in rref form)."""
-    residue = list(v)
-    for row, p in zip(rref_rows, pivots):
-        c = residue[p]
-        if c:
-            residue = [x - c * y for x, y in zip(residue, row)]
-    return not any(residue)
-
-
-def row_space_rref(vectors) -> tuple[list, list[int]]:
-    """RREF basis of the span of the given vectors: (rows, pivot columns)."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return [], []
-    rred, pivots = _rref(rows)
-    return rred[: len(pivots)], pivots
 
 
 def invert(m: Matrix) -> Matrix:

@@ -19,8 +19,10 @@ import sys
 
 from . import cycles, dual, hurwitz, permmodel, subgroups, suites
 from .coxeter import (
+    CoxeterDescriptor,
     build_group,
     classical_order,
+    classical_root_count,
     element_from_refl_word,
     element_from_simple_word,
 )
@@ -172,21 +174,19 @@ def _orbit_dot(g, orbits, path):
         return " ".join(f"t{t}" for t in word) or "e"
 
     lines = ["graph hurwitz {"]
-    refl = g.reflections
     for orbit in orbits:
         index = {w: i for i, w in enumerate(orbit.members)}
         for w in orbit.members:
             lines.append(f'  "{label(w)}";')
         seen = set()
         for w in orbit.members:
-            for p in range(len(w) - 1):
-                a, b = w[p], w[p + 1]
-                moved = w[:p] + (refl[a].images[b] >> 1, a) + w[p + 2 :]
+            for i in range(1, len(w)):
+                moved = hurwitz.hurwitz_move(g, w, i)
                 edge = tuple(sorted((index[w], index[moved])))
                 if moved != w and edge not in seen:
                     seen.add(edge)
                     lines.append(
-                        f'  "{label(w)}" -- "{label(moved)}" [label="sigma_{p + 1}"];'
+                        f'  "{label(w)}" -- "{label(moved)}" [label="sigma_{i}"];'
                     )
     lines.append("}")
     with open(path, "w") as handle:
@@ -197,12 +197,17 @@ def _orbit_dot(g, orbits, path):
 
 
 def _cmd_info(args):
-    g = build_group(args.group)
+    descriptor = CoxeterDescriptor.parse(args.group)
+    if args.roots and descriptor.is_dihedral_model:
+        raise DualcoxError(
+            f"{descriptor} uses the combinatorial dihedral model; "
+            "it has no root coordinates"
+        )
     doc = {
-        "type": g.type_string,
-        "rank": g.rank,
-        "n_pos_roots": g.n_reflections,
-        "order": classical_order(g.descriptor),
+        "type": str(descriptor),
+        "rank": descriptor.rank,
+        "n_pos_roots": classical_root_count(descriptor),
+        "order": classical_order(descriptor),
     }
     lines = [
         f"type: {doc['type']}",
@@ -211,11 +216,7 @@ def _cmd_info(args):
         f"order: {doc['order']}",
     ]
     if args.roots:
-        if not g.is_linear:
-            raise DualcoxError(
-                f"{g.type_string} uses the combinatorial dihedral model; "
-                "it has no root coordinates"
-            )
+        g = build_group(descriptor)
         doc["positive_roots"] = [[str(c) for c in root] for root in g.roots]
         lines.append("positive roots (coordinates):")
         lines.extend(
@@ -472,22 +473,22 @@ def _build_parser():
                         metavar="SUITE",
                         help="one of: " + ", ".join(sorted(suites.SUITES)) + ", all")
     verify.add_argument("--json", action="store_true")
-    verify.add_argument("--cap", type=int, default=None)
     return parser
 
 
 def run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        cap = args.cap if args.cap is not None else env_cap()
-    except ValueError as exc:
-        print(f"dualcox: usage error: {exc}", file=sys.stderr)
-        return 2
-    if cap is not None and cap <= 0:
-        parser.error("--cap must be positive")
-    args.red_cap = cap if cap is not None else DEFAULT_RED_CAP
-    args.enum_cap = cap if cap is not None else DEFAULT_ENUM_CAP
+    if "cap" in args:  # suites are fixed sweeps and take no cap
+        try:
+            cap = args.cap if args.cap is not None else env_cap()
+        except ValueError as exc:
+            print(f"dualcox: usage error: {exc}", file=sys.stderr)
+            return 2
+        if cap is not None and cap <= 0:
+            parser.error("--cap must be positive")
+        args.red_cap = cap if cap is not None else DEFAULT_RED_CAP
+        args.enum_cap = cap if cap is not None else DEFAULT_ENUM_CAP
     try:
         return args.func(args)
     except (UnsupportedTypeError, WordParseError) as exc:

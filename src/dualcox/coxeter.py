@@ -40,7 +40,7 @@ from .errors import (
     NoLinearModelError,
     UnsupportedTypeError,
 )
-from .limits import DEFAULT_ENUM_CAP
+from .limits import DEFAULT_ENUM_CAP, MAX_ROOTS
 
 ReflWord = tuple  # tuple[int, ...]: reflection indices
 
@@ -250,6 +250,13 @@ class CoxeterSystem:
     """
 
     def __init__(self, descriptor: CoxeterDescriptor):
+        n_roots = classical_root_count(descriptor)
+        if n_roots > MAX_ROOTS:
+            raise GroupTooLargeError(
+                f"{descriptor} has {n_roots} positive roots; building its "
+                f"reflection table is limited to {MAX_ROOTS}",
+                cap=MAX_ROOTS,
+            )
         self.descriptor = descriptor
         self.is_linear = not descriptor.is_dihedral_model
         self.dihedral_m = None if self.is_linear else descriptor.components[0][1]
@@ -269,7 +276,6 @@ class CoxeterSystem:
         self.coxeter_matrix = self._coxeter_matrix()
         # caches shared by the higher layers
         self._refl_lookup = {r.images: t for t, r in enumerate(self.reflections)}
-        self._mov_cache = {}
         self._below_cache = {}
         self._all_elements = None
         self._subgroup_registry = {}
@@ -452,39 +458,6 @@ def element_from_refl_word(g: CoxeterSystem, word) -> Element:
                 f"reflection index {t} out of range for {g.type_string}"
             )
     return reduce(lambda acc, t: acc * g.reflections[t], word, g.identity)
-
-
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
-
-
-def invert_element(x: Element) -> Element:
-    return x.inv()
-
-
-def order_of(x: Element) -> int:
-    return x.order()
-
-
-def equal(x: Element, y: Element) -> bool:
-    if x.group is not y.group:
-        raise MixedGroupsError("cannot compare elements of different groups")
-    return x.images == y.images
-
-
-def matrix_of(x: Element) -> Matrix:
-    return x.matrix()
-
-
-def conjugate_reflection(x: Element, t: int) -> int:
-    """Index of x t x^-1 for a reflection index t."""
-    if not 0 <= t < x.group.n_reflections:
-        raise IndexError(f"reflection index {t} out of range")
-    return x.conjugate_reflection(t)
-
-
-def canonical_s_word(x: Element) -> tuple:
-    return x.s_word()
 
 
 def enumerate_group(g: CoxeterSystem, cap: int = DEFAULT_ENUM_CAP):

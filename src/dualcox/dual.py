@@ -1,16 +1,18 @@
 """Reflection length, absolute order, reduced reflection words, parabolic closure.
 
-For an element w of a group with a linear model, the moved space is the image
-of (w - 1) and the fixed space is its kernel; their dimensions add up to the
-ambient dimension, and the reflection length of w equals the codimension of
-the fixed space.  A reflection t lies below w in absolute order exactly when
-the root of t lies in the moved space, which makes the length-one layer of
-the order cheap to scan.  Both facts are exercised against independent
-oracles in the test suite.
+Everything here is read off the below-set of an element w: the reflections t
+with t <= w in absolute order.  A reflection lies below w exactly when its
+root lies in the moved space Mov(w), the image of (w - 1).  The average of
+the w-orbit of a vector is its projection onto the fixed space along Mov(w),
+so a root lies in Mov(w) exactly when its orbit sums to zero.  The orbit of a
+root is a signed cycle of w's permutation of the roots: a cycle that returns
+negated sums to zero at once, any other cycle is summed once, in whatever
+basis the roots are written, and its answer holds for every root on it.
 
-Moved-space data is computed once per element and cached on the group, keyed
-by the element's root action, so sweeps over a whole group never recompute a
-kernel.
+The below-set generates the parabolic closure of w, whose rank is dim Mov(w),
+the reflection length of w (Carter, *Conjugacy classes in the Weyl group*,
+1972).  Below-sets are cached per group, keyed by the element's root action.
+The test suite checks all of this against exact elimination on w - 1.
 """
 
 from __future__ import annotations
@@ -18,44 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import subgroups
-from .algebra import Matrix, kernel_basis, reduces_to_zero, row_space_rref
+from .algebra import vec_add, vec_sub
 from .coxeter import Element
 from .errors import MixedGroupsError
 from .limits import DEFAULT_RED_CAP
-
-
-@dataclass(frozen=True)
-class MovData:
-    """Fixed space, moved space and reflection length of one element."""
-
-    element: Element
-    fixed_basis: tuple
-    mov_basis: tuple
-    refl_length: int
-
-
-def _mov_record(x: Element):
-    """(length, mov rref rows, mov pivots, fixed basis), cached per group."""
-    g = x.group
-    rec = g._mov_cache.get(x.images)
-    if rec is None:
-        delta = x.matrix() - Matrix.identity(g.ambient_dim)
-        mov_rows, mov_pivots = row_space_rref(delta.columns())
-        fixed = tuple(kernel_basis(delta))
-        rec = (len(mov_rows), mov_rows, mov_pivots, fixed)
-        g._mov_cache[x.images] = rec
-    return rec
-
-
-def mov_data(x: Element) -> MovData:
-    """Exact fixed/moved decomposition data (linear models only)."""
-    length, mov_rows, _, fixed = _mov_record(x)
-    return MovData(
-        element=x,
-        fixed_basis=fixed,
-        mov_basis=tuple(tuple(r) for r in mov_rows),
-        refl_length=length,
-    )
 
 
 def _dihedral_class(x: Element) -> int:
@@ -68,11 +36,33 @@ def _dihedral_class(x: Element) -> int:
     return 2 if (i0 + 1) % m == i1 else 1
 
 
+def _moved_roots(x: Element) -> frozenset:
+    """Indices of the roots whose orbit under x sums to zero (linear models)."""
+    g = x.group
+    images = x.images
+    seen = set()
+    moved = set()
+    for t in range(g.n_reflections):
+        if t in seen:
+            continue
+        cycle = [t]
+        total = g.roots[t]
+        e = images[t]
+        i, neg = e >> 1, e & 1
+        while i != t:
+            cycle.append(i)
+            total = vec_sub(total, g.roots[i]) if neg else vec_add(total, g.roots[i])
+            e = images[i]
+            i, neg = e >> 1, neg ^ (e & 1)
+        seen.update(cycle)
+        if neg or not any(total):
+            moved.update(cycle)
+    return frozenset(moved)
+
+
 def reflection_length(x: Element) -> int:
     """Minimal number of reflections multiplying to x."""
-    if not x.group.is_linear:
-        return _dihedral_class(x)
-    return _mov_record(x)[0]
+    return parabolic_closure(x).rank
 
 
 def absolute_leq(u: Element, v: Element) -> bool:
@@ -84,28 +74,31 @@ def absolute_leq(u: Element, v: Element) -> bool:
 
 def reflection_below(t: int, x: Element) -> bool:
     """Whether reflection t lies below x: the root of t sits in Mov(x)."""
-    g = x.group
-    if not 0 <= t < g.n_reflections:
+    if not 0 <= t < x.group.n_reflections:
         raise IndexError(f"reflection index {t} out of range")
-    if not g.is_linear:
-        cls = _dihedral_class(x)
-        if cls == 0:
-            return False
-        if cls == 2:
-            return True
-        return g.reflection_index(x) == t
-    _, mov_rows, mov_pivots, _ = _mov_record(x)
-    return reduces_to_zero(g.roots[t], mov_rows, mov_pivots)
+    return t in below_reflections(x)
 
 
 def below_reflections(x: Element) -> frozenset:
-    """All reflections below x in absolute order; cached per group."""
+    """All reflections below x in absolute order; cached per group.
+
+    The combinatorial dihedral model has no root coordinates: there the
+    identity has nothing below it, a reflection only itself, and a rotation
+    every reflection.
+    """
     g = x.group
     cached = g._below_cache.get(x.images)
     if cached is None:
-        cached = frozenset(
-            t for t in range(g.n_reflections) if reflection_below(t, x)
-        )
+        if g.is_linear:
+            cached = _moved_roots(x)
+        else:
+            cls = _dihedral_class(x)
+            if cls == 0:
+                cached = frozenset()
+            elif cls == 1:
+                cached = frozenset({g.reflection_index(x)})
+            else:
+                cached = frozenset(range(g.n_reflections))
         g._below_cache[x.images] = cached
     return cached
 
@@ -185,7 +178,7 @@ def reduced_expressions(x: Element, cap: int = DEFAULT_RED_CAP,
 def parabolic_closure(x: Element) -> subgroups.ReflectionSubgroup:
     """Smallest parabolic subgroup containing x.
 
-    Generated by every reflection below x; its rank equals the reflection
-    length of x and it contains x.
+    Its reflections are exactly those below x, a set already closed under
+    conjugation; its rank equals the reflection length of x and it contains x.
     """
-    return subgroups.reflection_closure(x.group, below_reflections(x))
+    return subgroups._get_subgroup(x.group, below_reflections(x))

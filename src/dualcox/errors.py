@@ -42,7 +42,7 @@ class CapExceededError(DualcoxError, RuntimeError):
 
 
 class GroupTooLargeError(CapExceededError):
-    """Exhaustive element enumeration exceeded the cap (group too large for exhaustive mode)."""
+    """A group is too large to build, or to enumerate under the cap."""
 
 
 class NotQuasiCoxeterError(DualcoxError, ValueError):

@@ -51,23 +51,6 @@ class HurwitzOrbit:
     subgroup: subgroups.ReflectionSubgroup
 
 
-class _DisjointSet:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
 def hurwitz_orbits(x: Element, cap: int = DEFAULT_RED_CAP):
     """Partition of all reduced words of x into braid orbits.
 
@@ -84,14 +67,11 @@ def hurwitz_orbits(x: Element, cap: int = DEFAULT_RED_CAP):
         )
     words = red.words
     index = {w: i for i, w in enumerate(words)}
-    dsu = _DisjointSet(len(words))
+    dsu = subgroups.DisjointSet(len(words))
     g = x.group
-    refl = g.reflections
     for wi, w in enumerate(words):
-        for p in range(len(w) - 1):
-            a, b = w[p], w[p + 1]
-            moved = w[:p] + (refl[a].images[b] >> 1, a) + w[p + 2 :]
-            dsu.union(wi, index[moved])
+        for i in range(1, len(w)):
+            dsu.union(wi, index[hurwitz_move(g, w, i)])
     buckets: dict[int, list] = {}
     for wi, w in enumerate(words):
         buckets.setdefault(dsu.find(wi), []).append(w)

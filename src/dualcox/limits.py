@@ -1,14 +1,19 @@
-"""Default enumeration caps.
+"""Default enumeration caps and the construction limit.
 
 The command line resolves its effective cap from the ``--cap`` flag, the
-``DUALCOX_CAP`` environment variable, and these defaults, in that order.
-Library calls take explicit cap arguments with these as defaults.
+``DUALCOX_CAP`` environment variable, and these defaults, in that order;
+verification suites are fixed sweeps and take no cap.  Library calls take
+explicit cap arguments with these as defaults.
+
+Construction is limited by the number N of positive roots, because every
+group stores an N x N table of reflection images.
 """
 
 import os
 
 DEFAULT_RED_CAP = 10**6
 DEFAULT_ENUM_CAP = 10**5
+MAX_ROOTS = 2000
 
 ENV_VAR = "DUALCOX_CAP"
 

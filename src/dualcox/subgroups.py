@@ -8,7 +8,8 @@ members with exactly one inversion inside the set, and the irreducible
 components are the connected components of their Coxeter diagram.
 
 Subgroups of one ambient group are interned by reflection set, so caches
-(element sets, parabolicity, fixed spaces) are shared.
+(element sets, parabolicity) are shared.  Parabolicity and membership in a
+parabolic subgroup are read off below-sets in absolute order (see ``dual``).
 """
 
 from __future__ import annotations
@@ -16,14 +17,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .algebra import Matrix, kernel_basis, vec_dot, vector
-from .coxeter import CoxeterSystem, Element
-from .errors import (
-    GroupTooLargeError,
-    InternalInvariantError,
-    MixedGroupsError,
-    NoLinearModelError,
-)
+from . import dual
+from .coxeter import CoxeterSystem, Element, element_from_refl_word
+from .errors import GroupTooLargeError, InternalInvariantError, MixedGroupsError
 from .limits import DEFAULT_ENUM_CAP
 
 
@@ -43,6 +39,25 @@ def _label_key(label: str):
     return (label[0], int(label[1:]))
 
 
+class DisjointSet:
+    """Union-find over 0..n-1 with path halving."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[rj] = ri
+
+
 class ReflectionSubgroup:
     """Conjugation-closed set of reflections with its Coxeter structure."""
 
@@ -54,7 +69,6 @@ class ReflectionSubgroup:
         "rank",
         "_elements",
         "_parabolic",
-        "_fixed_basis",
     )
 
     def __init__(self, ambient: CoxeterSystem, refl_set: frozenset):
@@ -65,7 +79,6 @@ class ReflectionSubgroup:
         self.rank = len(self.canonical_gens)
         self._elements = None
         self._parabolic = None
-        self._fixed_basis = None
 
     @property
     def type_string(self) -> str:
@@ -89,27 +102,6 @@ class ReflectionSubgroup:
 
     def __repr__(self):
         return f"<{self.type_string} subgroup of {self.ambient.type_string}>"
-
-    # -- fixed space and parabolicity ------------------------------------
-
-    def fixed_basis(self):
-        """Basis of the common fixed space of the subgroup (linear models)."""
-        if self._fixed_basis is None:
-            g = self.ambient
-            if not g.is_linear:
-                raise NoLinearModelError(
-                    "fixed spaces are unavailable in the dihedral model"
-                )
-            gens = sorted(self.canonical_gens)
-            if not gens:
-                self._fixed_basis = tuple(
-                    vector(1 if i == j else 0 for i in range(g.ambient_dim))
-                    for j in range(g.ambient_dim)
-                )
-            else:
-                rows = [g._form_row(g.roots[t]) for t in gens]
-                self._fixed_basis = tuple(kernel_basis(Matrix(rows)))
-        return self._fixed_basis
 
     def elements(self, cap: int = DEFAULT_ENUM_CAP) -> frozenset:
         """All elements of the subgroup, by BFS over the canonical generators."""
@@ -135,18 +127,22 @@ class ReflectionSubgroup:
 
 
 def _close_under_conjugation(g: CoxeterSystem, gens) -> frozenset:
-    """Smallest superset of gens closed under (r, r') -> r r' r."""
+    """Reflections of the subgroup generated by gens: their orbit under it.
+
+    Every reflection of the subgroup is conjugate inside it to one of the
+    generating reflections, so conjugating by the generators alone reaches
+    all of them.
+    """
     closed = set(gens)
+    rows = [g.reflections[s].images for s in closed]
     queue = list(closed)
-    refl = g.reflections
     while queue:
         r = queue.pop()
-        row = refl[r].images
-        for a in list(closed):
-            for new in (row[a] >> 1, refl[a].images[r] >> 1):
-                if new not in closed:
-                    closed.add(new)
-                    queue.append(new)
+        for row in rows:
+            new = row[r] >> 1
+            if new not in closed:
+                closed.add(new)
+                queue.append(new)
     return frozenset(closed)
 
 
@@ -254,21 +250,13 @@ def _split_components(g: CoxeterSystem, gens: frozenset, refl_set: frozenset):
             raise InternalInvariantError("nonempty reflection set with no generators")
         return ()
     edges = _diagram_edges(g, gens)
-    parent = {a: a for a in gens}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    position = {a: i for i, a in enumerate(gens)}
+    dsu = DisjointSet(len(gens))
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+        dsu.union(position[a], position[b])
     blocks: dict[int, list] = {}
-    for a in gens:
-        blocks.setdefault(find(a), []).append(a)
+    for i, a in enumerate(gens):
+        blocks.setdefault(dsu.find(i), []).append(a)
     components = []
     assigned: set[int] = set()
     for root in sorted(blocks, key=lambda r: min(blocks[r])):
@@ -321,24 +309,14 @@ def irreducible_components(sub: ReflectionSubgroup):
 def is_parabolic(sub: ReflectionSubgroup) -> bool:
     """Whether the subgroup is the pointwise stabilizer of a subspace.
 
-    Computed by intersecting the generators' mirrors and collecting every
-    reflection whose mirror contains that intersection; the subgroup is
-    parabolic exactly when nothing new shows up.  In the dihedral model the
-    proper parabolic subgroups are the trivial one and the single-reflection
-    ones.
+    A product c of the canonical generators is a Coxeter element of the
+    subgroup, so Fix(c) is the common fixed space of the subgroup and the
+    reflections below c are exactly those of its parabolic closure.  The
+    subgroup is parabolic when that closure adds nothing.
     """
     if sub._parabolic is None:
-        g = sub.ambient
-        if not g.is_linear:
-            sub._parabolic = sub.rank <= 1 or sub.is_full()
-        else:
-            fixed = sub.fixed_basis()
-            stabilizing = frozenset(
-                t
-                for t in range(g.n_reflections)
-                if all(not vec_dot(g._form_row(g.roots[t]), e) for e in fixed)
-            )
-            sub._parabolic = stabilizing == sub.refl_set
+        c = element_from_refl_word(sub.ambient, sorted(sub.canonical_gens))
+        sub._parabolic = dual.below_reflections(c) == sub.refl_set
     return sub._parabolic
 
 
@@ -346,15 +324,14 @@ def contains_element(sub: ReflectionSubgroup, x: Element,
                      cap: int = DEFAULT_ENUM_CAP) -> bool:
     """Exact membership test.
 
-    Parabolic subgroups of linear models are recognized as the stabilizer of
-    their fixed space, so membership is a matrix check; otherwise the
-    subgroup is enumerated (and cached) up to the cap.
+    A parabolic subgroup contains x exactly when it contains the parabolic
+    closure of x, that is every reflection below x; other subgroups are
+    enumerated (and cached) up to the cap.
     """
     if x.group is not sub.ambient:
         raise MixedGroupsError("element belongs to a different ambient group")
-    if sub.ambient.is_linear and is_parabolic(sub):
-        m = x.matrix()
-        return all(m.apply(e) == e for e in sub.fixed_basis())
+    if is_parabolic(sub):
+        return dual.below_reflections(x) <= sub.refl_set
     return x in sub.elements(cap)
 
 

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic and the small linear algebra kit."""
+"""Exact scalar arithmetic, the small linear algebra kit and the elimination oracle."""
 
 import math
 from fractions import Fraction
@@ -6,16 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dualcox.algebra import (
-    Matrix,
-    Scalar,
-    fixed_space_dim,
-    in_span,
-    invert,
-    kernel_basis,
-    rank,
-    vector,
-)
+from dualcox.algebra import Matrix, Scalar, invert, kernel_basis, vector
+from elimination import fixed_space_dim, in_span, rank
 
 small_fractions = st.fractions(
     min_value=-50, max_value=50, max_denominator=20

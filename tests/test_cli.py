@@ -1,6 +1,7 @@
 """Command line behaviour: formats, determinism, exit codes, schema."""
 
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -41,6 +42,13 @@ class TestInfo:
     def test_dihedral_info(self, capsys, schema):
         doc = run_json(capsys, ["info", "I2(7)", "--json"], schema)
         assert doc == {"type": "I2(7)", "rank": 2, "n_pos_roots": 7, "order": 14}
+
+    def test_answers_from_closed_forms_without_building(self, capsys, schema):
+        from dualcox.coxeter import _BUILD_CACHE, CoxeterDescriptor
+
+        doc = run_json(capsys, ["info", "A40", "--json"], schema)
+        assert doc["rank"] == 40 and doc["n_pos_roots"] == 820
+        assert CoxeterDescriptor.parse("A40") not in _BUILD_CACHE
 
 
 class TestElementVerbs:
@@ -130,6 +138,14 @@ class TestVerifyVerb:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 7 and "FAIL" not in out
 
+    def test_suites_take_no_cap(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["verify", "g2-two-orbits", "--cap", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        monkeypatch.setenv("DUALCOX_CAP", "1")
+        assert cli.run(["verify", "g2-two-orbits"]) == 0
+
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.run(["verify", "no-such-suite"])
@@ -175,6 +191,13 @@ class TestDeterminismAndErrors:
 
     def test_matrixless_model_is_a_domain_error(self, capsys):
         assert cli.run(["info", "I2(7)", "--roots"]) == 1
+
+    def test_oversized_group_is_refused_before_building(self, capsys):
+        start = time.perf_counter()
+        assert cli.run(["reflen", "I2(100000)", "-w", "0 1"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "100000" in err and "2000" in err
 
     def test_missing_verb_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 from collections import deque
 
 import pytest
+from elimination import length_and_below, moved_space
 
 from dualcox import (
     absolute_leq,
@@ -12,7 +13,6 @@ from dualcox import (
     enumerate_group,
     first_reduced_word,
     iter_reduced,
-    mov_data,
     parabolic_closure,
     reduced_expressions,
     reflection_below,
@@ -61,11 +61,26 @@ class TestReflectionLength:
             assert reflection_length(x) == dist[x.images]
 
     def test_mov_dimensions_add_up(self):
+        from dualcox.algebra import Matrix, kernel_basis
+
         g = build_group("B3")
         for x in enumerate_group(g):
-            data = mov_data(x)
-            assert len(data.fixed_basis) + len(data.mov_basis) == g.ambient_dim
-            assert data.refl_length == reflection_length(x)
+            mov_rows, _ = moved_space(x)
+            fixed = kernel_basis(x.matrix() - Matrix.identity(g.ambient_dim))
+            assert len(fixed) + len(mov_rows) == g.ambient_dim
+            assert len(mov_rows) == reflection_length(x)
+
+
+class TestAgainstElimination:
+    @pytest.mark.parametrize("name", ["A4", "B3", "D4", "F4", "H3", "B2xB2"])
+    def test_orbit_sums_match_elimination(self, name):
+        # below-sets from root-orbit sums and lengths from closure ranks
+        # against the span of w - 1, on every element
+        g = build_group(name)
+        for x in enumerate_group(g):
+            length, below = length_and_below(x)
+            assert below_reflections(x) == below
+            assert reflection_length(x) == length
 
 
 class TestAbsoluteOrder:

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import pytest
+from elimination import all_reflection_subgroups, is_parabolic_by_fixed_space
 
 from dualcox import (
     MixedGroupsError,
@@ -171,6 +172,12 @@ class TestParabolicity:
         sub = reflection_closure(g, {g.simple_ids[0], g.simple_ids[2]})
         assert is_parabolic(sub)
 
+    @pytest.mark.parametrize("name", ["A3", "B3", "G2", "B2xB2"])
+    def test_matches_the_fixed_space_rule(self, name):
+        g = build_group(name)
+        for sub in all_reflection_subgroups(g):
+            assert is_parabolic(sub) == is_parabolic_by_fixed_space(sub)
+
     def test_parabolic_uniqueness_across_reduced_words(self):
         # all reduced words of one element whose letters generate a parabolic
         # subgroup generate the same one
@@ -206,6 +213,16 @@ class TestMembership:
         members = sub.elements()
         for x in enumerate_group(g):
             assert contains_element(sub, x) == (x in members)
+
+    def test_every_parabolic_of_b3_agrees_with_enumeration(self):
+        g = build_group("B3")
+        elements = enumerate_group(g)
+        for sub in all_reflection_subgroups(g):
+            if not is_parabolic(sub):
+                continue
+            members = sub.elements()
+            for x in elements:
+                assert contains_element(sub, x) == (x in members)
 
     def test_mixed_ambient_rejected(self):
         a3, b2 = build_group("A3"), build_group("B2")
