@@ -216,10 +216,6 @@ def vec_neg(u: Vector) -> Vector:
     return tuple(-x for x in u)
 
 
-def vec_scale(c: Scalar, u: Vector) -> Vector:
-    return tuple(c * x for x in u)
-
-
 def vec_dot(u: Vector, v: Vector) -> Scalar:
     acc = ZERO
     for x, y in zip(u, v):

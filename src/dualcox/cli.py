@@ -6,14 +6,21 @@ reflection word (``-r "t0 t5 (s1 s2 s1)"``), or a signed cycle form for
 types B and D (``-c "(1,-2,-1,2)(3,4,-3,-4)"``).  Output is deterministic;
 ``--json`` switches every verb to a single JSON document on stdout.
 
+Only the enumerating verbs (``reds``, ``orbits``, ``cycledec``, ``indec``)
+take ``--cap`` and read ``DUALCOX_CAP``; the others enumerate nothing, so
+they refuse the flag and ignore the variable.
+
 Exit codes: 0 on success, 1 on domain errors (caps, model limits, failed
-verification), 2 on usage errors (unparseable types, words or flags).
+verification), 2 on usage errors (unparseable types, words or flags).  A
+reader that closes the output early (``dualcox reds E6 -w "0 1 2 3 4 5" |
+head -1``) ends the run quietly with exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -430,14 +437,14 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
-    def add(name, func, help_text, element=False, group=True):
+    def add(name, func, help_text, element=False, cap=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        if group:
-            p.add_argument("group", help='type string, e.g. "A4", "B2xB2", "I2(7)"')
+        p.add_argument("group", help='type string, e.g. "A4", "B2xB2", "I2(7)"')
         p.add_argument("--json", action="store_true", help="emit one JSON document")
-        p.add_argument("--cap", type=int, default=None,
-                       help="enumeration cap (also via DUALCOX_CAP)")
+        if cap:
+            p.add_argument("--cap", type=int, default=None,
+                           help="enumeration cap (also via DUALCOX_CAP)")
         if element:
             p.add_argument("-w", "--word", default=None,
                            help='simple word, e.g. "0 1 0" or "s0 s1 s0"')
@@ -452,20 +459,20 @@ def _build_parser():
     )
     add("reflen", _cmd_reflen, "reflection length of an element", element=True)
     add("closure", _cmd_closure, "parabolic closure of an element", element=True)
-    add("reds", _cmd_reds, "all reduced reflection words", element=True)
+    add("reds", _cmd_reds, "all reduced reflection words", element=True, cap=True)
     orbits = add("orbits", _cmd_orbits, "Hurwitz orbits on the reduced words",
-                 element=True)
+                 element=True, cap=True)
     orbits.add_argument("--with-subgroups", action="store_true",
                         help="include the subgroup each orbit generates")
     orbits.add_argument("--dot", metavar="FILE", default=None,
                         help="write the orbit graph in DOT format")
     cyc = add("cycledec", _cmd_cycledec, "commuting cycle decomposition",
-              element=True)
+              element=True, cap=True)
     cyc.add_argument("--all-orbits", action="store_true",
                      help="decompose inside every orbit subgroup")
     cyc.add_argument("--check", action="store_true",
                      help="independently verify the decomposition")
-    add("indec", _cmd_indec, "test indecomposability", element=True)
+    add("indec", _cmd_indec, "test indecomposability", element=True, cap=True)
     add("perm", _cmd_perm, "permutation or signed-permutation form", element=True)
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.set_defaults(func=_cmd_verify)
@@ -479,7 +486,7 @@ def _build_parser():
 def run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if "cap" in args:  # suites are fixed sweeps and take no cap
+    if "cap" in args:  # only the enumerating verbs take a cap
         try:
             cap = args.cap if args.cap is not None else env_cap()
         except ValueError as exc:
@@ -500,7 +507,15 @@ def run(argv) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the interpreter's
+        # own flush at shutdown fails silently too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,25 @@
 """Finite Coxeter systems and exact group elements.
 
-A group is built once from its descriptor.  For types with a linear model the
-positive roots are generated to closure from the simple roots, sorted
-lexicographically by coordinates so repeated builds index reflections
-identically, and every element is stored as a signed permutation of the
-positive roots: ``w(alpha_i) = +-alpha_j``.  Matrices in the reflection
-representation are reconstructed on demand from that action and cached.
+A group is built once from its descriptor.  For types with a linear model
+the Cartan entries <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) /
+(alpha_i, alpha_i) are read once off the simple roots and invariant form of
+``rootdata``.  They lie in Z for the crystallographic types and in the ring
+Z[phi] = {p + q*phi}, phi the golden ratio, for H3 and H4, so every root
+has integer coordinates in the basis of simple roots: a flat int tuple with
+one int per simple root, or an interleaved (p, q) pair per simple root when
+some entry is irrational.  The positive roots are generated by breadth-first search from
+the simple roots with s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
+(Humphreys, *Reflection Groups and Coxeter Groups*, sections 1-2).
+
+Each root is mapped once to its ambient coordinates in Q or Q(sqrt 5), and
+the roots are sorted lexicographically by them, so repeated builds index
+reflections identically.  Every element is stored as a signed permutation of
+the positive roots: ``w(alpha_i) = +-alpha_j``.  The rows of the simple
+reflections are read off the search; the reflection in any other root
+s_i(beta) is the conjugate s_i s_beta s_i, a composition of rows that needs
+no arithmetic.  The Coxeter matrix comes from the products of opposite
+Cartan entries, 4 cos^2(pi/m_ij).  Matrices in the reflection representation
+are reconstructed on demand from the root action and cached.
 
 ``I2(m)`` for m not in {3, 4, 5, 6} has no model over Q(sqrt 5); those groups
 use a combinatorial dihedral model that still exposes the signed action on m
@@ -19,7 +33,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from fractions import Fraction
+from functools import cached_property, reduce
 
 from . import rootdata
 from .algebra import (
@@ -30,9 +45,6 @@ from .algebra import (
     kernel_basis,
     vec_dot,
     vec_neg,
-    vec_scale,
-    vec_sub,
-    vector,
 )
 from .errors import (
     GroupTooLargeError,
@@ -242,6 +254,116 @@ class Element:
         return f"<{self.group.type_string}: s-word [{word}]>"
 
 
+# 4 cos^2(pi/m) in Z[phi], as (p, q) = p + q*phi, for each m_ij
+_COXETER_NUMBER = {(0, 0): 2, (1, 0): 3, (2, 0): 4, (1, 1): 5, (3, 0): 6}
+
+
+def _zphi(x: Scalar) -> tuple[int, int]:
+    """(p, q) with x = p + q*phi; a + b*sqrt5 = (a - b) + 2b*phi."""
+    p, q = x.a - x.b, 2 * x.b
+    if p.denominator != 1 or q.denominator != 1:
+        raise ValueError(f"{x} is not an integer of Q(sqrt 5)")
+    return int(p), int(q)
+
+
+def _zphi_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    # phi^2 = phi + 1
+    return (x[0] * y[0] + x[1] * y[1], x[0] * y[1] + x[1] * y[0] + x[1] * y[1])
+
+
+def _times(c: tuple[int, int], j: int, width: int):
+    """Integer rows of v -> c * v_j, one per slot, on flat coordinates.
+
+    Coordinate j of a flat vector is the slot j*width (its integer part)
+    and, for width 2, the slot j*width + 1 (its phi part).  Terms are
+    (slot, coefficient) pairs with zero coefficients left out.
+    """
+    p, q = c
+    if width == 1:
+        rows = ([(j, p)],)
+    else:
+        rows = ([(2 * j, p), (2 * j + 1, q)], [(2 * j, q), (2 * j + 1, p + q)])
+    return [[t for t in row if t[1]] for row in rows]
+
+
+def _pairing(form):
+    """Invariant form on sparse vectors {coordinate: Scalar} of one block."""
+    if form is None:
+        return lambda u, v: sum((x * v[k] for k, x in u.items() if k in v), Scalar(0))
+    return lambda u, v: sum(
+        (x * form[k][l] * y for k, x in u.items() for l, y in v.items()), Scalar(0)
+    )
+
+
+def _half_scalar(value: tuple) -> Scalar:
+    """The number (p + q*phi) / 2 for value (p,) or (p, q)."""
+    p, q = value[0], value[1] if len(value) > 1 else 0
+    return Scalar(Fraction(2 * p + q, 4), Fraction(q, 4))
+
+
+def _cartan_data(blocks):
+    """Simple roots as sparse ambient columns {axis: Scalar}, and Cartan entries.
+
+    The entries <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i,
+    alpha_i) are keyed by (i, j), nonzero ones only, as Z[phi] pairs; the
+    blocks of a product are orthogonal.
+    """
+    simples: list[dict] = []
+    cartan: dict[tuple[int, int], tuple[int, int]] = {}
+    offset = 0
+    for bdim, roots, form in blocks:
+        pair = _pairing(form)
+        block = [{k: Scalar(c) for k, c in enumerate(r) if c} for r in roots]
+        first = len(simples)
+        for i, a in enumerate(block):
+            norm = pair(a, a)
+            for j, b in enumerate(block):
+                c = pair(b, a) * 2 / norm
+                if c:
+                    cartan[first + i, first + j] = _zphi(c)
+        simples.extend({offset + k: x for k, x in a.items()} for a in block)
+        offset += bdim
+    return simples, cartan
+
+
+def _search_roots(cartan, rank: int, width: int):
+    """Positive roots in flat simple-root coordinates, by breadth-first search.
+
+    Returns the roots in discovery order (simple roots first), the parent
+    (i, b) of every other root, which is s_i applied to root b, and for
+    each i the encoded image of every root under s_i.
+    """
+    coroots = [[[] for _ in range(width)] for _ in range(rank)]
+    for (i, j), c in cartan.items():
+        for slot, terms in zip(coroots[i], _times(c, j, width)):
+            slot.extend(terms)
+    coords = [tuple(int(m == i * width) for m in range(rank * width))
+              for i in range(rank)]
+    index = {c: b for b, c in enumerate(coords)}
+    parent = [None] * rank
+    simple_rows = [[] for _ in range(rank)]
+    for b, beta in enumerate(coords):  # coords grows as roots are found
+        for i, coroot in enumerate(coroots):
+            if b == i:
+                simple_rows[i].append((b << 1) | 1)
+                continue
+            c = [sum(k * beta[m] for m, k in terms) for terms in coroot]
+            if not any(c):
+                simple_rows[i].append(b << 1)
+                continue
+            img = list(beta)
+            for s, cs in enumerate(c):
+                img[i * width + s] -= cs
+            img = tuple(img)
+            k = index.get(img)
+            if k is None:
+                k = index[img] = len(coords)
+                coords.append(img)
+                parent.append((i, b))
+            simple_rows[i].append(k << 1)
+    return coords, parent, simple_rows
+
+
 class CoxeterSystem:
     """Immutable context for one finite Coxeter group.
 
@@ -258,6 +380,7 @@ class CoxeterSystem:
                 cap=MAX_ROOTS,
             )
         self.descriptor = descriptor
+        self.n_reflections = n_roots
         self.is_linear = not descriptor.is_dihedral_model
         self.dihedral_m = None if self.is_linear else descriptor.components[0][1]
         if self.is_linear:
@@ -273,7 +396,6 @@ class CoxeterSystem:
         del self._reflection_images
         self.simple = tuple(self.reflections[k] for k in self.simple_ids)
         self.rank = len(self.simple_ids)
-        self.coxeter_matrix = self._coxeter_matrix()
         # caches shared by the higher layers
         self._refl_lookup = {r.images: t for t, r in enumerate(self.reflections)}
         self._below_cache = {}
@@ -286,71 +408,89 @@ class CoxeterSystem:
         blocks = [
             rootdata.simple_root_block(f, n) for f, n in self.descriptor.components
         ]
-        dim = sum(b[0] for b in blocks)
-        simples: list[Vector] = []
-        forms = []
-        offset = 0
-        for bdim, roots, form in blocks:
-            for r in roots:
-                simples.append(vector([0] * offset + list(r) + [0] * (dim - offset - bdim)))
-            forms.append((offset, bdim, form))
-            offset += bdim
-        self.ambient_dim = dim
-        if all(f is None for _, _, f in forms):
-            self.form = None
-        else:
-            rows = [[Scalar(0)] * dim for _ in range(dim)]
-            for off, bdim, form in forms:
-                for i in range(bdim):
-                    for j in range(bdim):
-                        if form is None:
-                            rows[off + i][off + j] = Scalar(1 if i == j else 0)
-                        else:
-                            rows[off + i][off + j] = form[i][j]
-            self.form = tuple(tuple(r) for r in rows)
-
-        norms = {a: self._pair(a, a) for a in simples}
-        pos = set(simples)
-        frontier = list(simples)
-        while frontier:
-            nxt = []
-            for beta in frontier:
-                for alpha in simples:
-                    if beta == alpha:
-                        continue  # would flip to the negative root
-                    img = self._reflect(beta, alpha, norms[alpha])
-                    if img not in pos:
-                        pos.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        if any(vec_neg(r) in pos for r in pos):
-            # only possible if the root table is not a genuine simple system
+        self.ambient_dim = dim = sum(b[0] for b in blocks)
+        self.form = self._assemble_form(blocks)
+        simples, cartan = _cartan_data(blocks)
+        rank = len(simples)
+        # twice the ambient coordinates of the simple roots, in Z[phi]
+        doubled = [{k: _zphi(x * 2) for k, x in a.items()} for a in simples]
+        entries = list(cartan.values()) + [c for a in doubled for c in a.values()]
+        width = 2 if any(q for _, q in entries) else 1
+        coords, parent, simple_rows = _search_roots(cartan, rank, width)
+        if len(coords) != self.n_reflections:
             raise RuntimeError(
-                f"root closure for {self.descriptor} mixed signs; bad root table"
+                f"root search for {self.descriptor} found {len(coords)} roots; "
+                "bad root table"
             )
-        self.roots = tuple(sorted(pos))
-        self.n_reflections = len(self.roots)
-        self.root_index = {r: i for i, r in enumerate(self.roots)}
-        self.simple_ids = tuple(self.root_index[a] for a in simples)
 
-        images = []
-        for alpha in self.roots:
-            norm = self._pair(alpha, alpha)
-            row = []
-            for beta in self.roots:
-                img = self._reflect(beta, alpha, norm)
-                k = self.root_index.get(img)
-                row.append((k << 1) if k is not None
-                           else (self.root_index[vec_neg(img)] << 1) | 1)
-            images.append(tuple(row))
-        self._reflection_images = images
+        # ambient coordinates, twice over, as one (p,) or (p, q) per axis
+        axes = [[[] for _ in range(width)] for _ in range(dim)]
+        for j, a in enumerate(doubled):
+            for k, c in a.items():
+                for slot, terms in zip(axes[k], _times(c, j, width)):
+                    slot.extend(terms)
+        ambient = [
+            tuple(tuple(sum(k * beta[m] for m, k in terms) for terms in axis)
+                  for axis in axes)
+            for beta in coords
+        ]
+        # few distinct values occur: sort those once by real value, then
+        # the roots by integer ranks
+        scalars = {v: _half_scalar(v) for v in {v for a in ambient for v in a}}
+        rank_of = {v: r for r, v in enumerate(sorted(scalars, key=scalars.get))}
+        order = sorted(
+            range(len(coords)),
+            key=lambda b: tuple(rank_of[v] for v in ambient[b]),
+        )
+        pos = [0] * len(order)
+        for t, b in enumerate(order):
+            pos[b] = t
+        self.roots = tuple(tuple(scalars[v] for v in ambient[b]) for b in order)
+        self.root_index = {r: t for t, r in enumerate(self.roots)}
+        self.simple_ids = tuple(pos[:rank])
+        self.simple_coordinates = tuple(coords[b] for b in order)
 
-        # ambient basis: simple roots extended by the form-orthogonal
-        # complement, which every group element fixes pointwise
-        rows = [self._form_row(a) for a in simples]
-        self._complement = tuple(kernel_basis(Matrix(rows)))
-        basis = Matrix.from_columns(list(simples) + list(self._complement))
-        self._basis_inv = invert(basis)
+        table = [None] * len(order)
+        for i, row in enumerate(simple_rows):
+            table[pos[i]] = tuple(
+                (pos[row[b] >> 1] << 1) | (row[b] & 1) for b in order
+            )
+        for b in range(rank, len(coords)):  # parents come first
+            i, beta = parent[b]
+            s, r = table[pos[i]], table[pos[beta]]
+            table[pos[b]] = tuple(
+                [s[f >> 1] ^ (f & 1) for f in [r[e >> 1] ^ (e & 1) for e in s]]
+            )
+        self._reflection_images = table
+
+        zero = (0, 0)
+        self.coxeter_matrix = tuple(
+            tuple(
+                1 if i == j else _COXETER_NUMBER[
+                    _zphi_mul(cartan.get((i, j), zero), cartan.get((j, i), zero))
+                ]
+                for j in range(rank)
+            )
+            for i in range(rank)
+        )
+
+    @staticmethod
+    def _assemble_form(blocks):
+        """Block-diagonal form rows, or None when every block uses the dot product."""
+        if all(form is None for _, _, form in blocks):
+            return None
+        dim = sum(b[0] for b in blocks)
+        rows = [[Scalar(0)] * dim for _ in range(dim)]
+        off = 0
+        for bdim, _, form in blocks:
+            for i in range(bdim):
+                for j in range(bdim):
+                    if form is None:
+                        rows[off + i][off + j] = Scalar(1 if i == j else 0)
+                    else:
+                        rows[off + i][off + j] = form[i][j]
+            off += bdim
+        return tuple(tuple(r) for r in rows)
 
     def _build_dihedral(self):
         m = self.dihedral_m
@@ -358,7 +498,7 @@ class CoxeterSystem:
         self.form = None
         self.roots = None
         self.root_index = None
-        self.n_reflections = m
+        self.simple_coordinates = None
         # mirror j sits at angle j*pi/m; its root at j*pi/m + pi/2.  The
         # reflection in mirror j sends root k to the vector at (2j - k)*pi/m
         # + pi/2 - pi, i.e. root (2j - k) mod m with a sign from the wrap.
@@ -372,13 +512,7 @@ class CoxeterSystem:
             images.append(tuple(row))
         self._reflection_images = images
         self.simple_ids = (0, m - 1)
-        self._complement = ()
-        self._basis_inv = None
-
-    def _pair(self, u: Vector, v: Vector) -> Scalar:
-        if self.form is None:
-            return vec_dot(u, v)
-        return vec_dot(u, tuple(vec_dot(row, v) for row in self.form))
+        self.coxeter_matrix = ((1, m), (m, 1))
 
     def _form_row(self, alpha: Vector) -> Vector:
         """Vector u with standard-dot(u, v) = pairing(alpha, v)."""
@@ -386,21 +520,18 @@ class CoxeterSystem:
             return alpha
         return tuple(vec_dot(row, alpha) for row in self.form)
 
-    def _reflect(self, v: Vector, alpha: Vector, alpha_norm: Scalar) -> Vector:
-        c = (self._pair(alpha, v) * 2) / alpha_norm
-        return vec_sub(v, vec_scale(c, alpha))
+    # ambient basis for matrices: simple roots extended by the form-orthogonal
+    # complement, which every group element fixes pointwise
 
-    def _coxeter_matrix(self):
-        if not self.is_linear:
-            m = self.dihedral_m
-            return ((1, m), (m, 1))
-        rows = []
-        for a in self.simple:
-            row = []
-            for b in self.simple:
-                row.append(1 if a == b else (a * b).order())
-            rows.append(tuple(row))
-        return tuple(rows)
+    @cached_property
+    def _complement(self):
+        rows = [self._form_row(a) for a in self.simple_roots]
+        return tuple(kernel_basis(Matrix(rows)))
+
+    @cached_property
+    def _basis_inv(self):
+        basis = Matrix.from_columns(list(self.simple_roots) + list(self._complement))
+        return invert(basis)
 
     # -- conveniences -------------------------------------------------------
 
@@ -434,11 +565,15 @@ _BUILD_CACHE: dict[CoxeterDescriptor, CoxeterSystem] = {}
 
 
 def build_group(descriptor) -> CoxeterSystem:
-    """Build (or fetch the cached) system for a descriptor or type string."""
+    """Build (or fetch the cached) system for a descriptor or type string.
+
+    Threads that build the same group at once all get the system stored
+    first, so their elements can be multiplied together.
+    """
     descriptor = _as_descriptor(descriptor)
     system = _BUILD_CACHE.get(descriptor)
     if system is None:
-        system = _BUILD_CACHE[descriptor] = CoxeterSystem(descriptor)
+        system = _BUILD_CACHE.setdefault(descriptor, CoxeterSystem(descriptor))
     return system
 
 

@@ -6,8 +6,9 @@ root lies in the moved space Mov(w), the image of (w - 1).  The average of
 the w-orbit of a vector is its projection onto the fixed space along Mov(w),
 so a root lies in Mov(w) exactly when its orbit sums to zero.  The orbit of a
 root is a signed cycle of w's permutation of the roots: a cycle that returns
-negated sums to zero at once, any other cycle is summed once, in whatever
-basis the roots are written, and its answer holds for every root on it.
+negated sums to zero at once, any other cycle is summed once, as plain
+integer tuples in the simple-root coordinates the group keeps, and its
+answer holds for every root on it.
 
 The below-set generates the parabolic closure of w, whose rank is dim Mov(w),
 the reflection length of w (Carter, *Conjugacy classes in the Weyl group*,
@@ -18,9 +19,9 @@ The test suite checks all of this against exact elimination on w - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from . import subgroups
-from .algebra import vec_add, vec_sub
 from .coxeter import Element
 from .errors import MixedGroupsError
 from .limits import DEFAULT_RED_CAP
@@ -38,20 +39,20 @@ def _dihedral_class(x: Element) -> int:
 
 def _moved_roots(x: Element) -> frozenset:
     """Indices of the roots whose orbit under x sums to zero (linear models)."""
-    g = x.group
+    coords = x.group.simple_coordinates
     images = x.images
     seen = set()
     moved = set()
-    for t in range(g.n_reflections):
+    for t in range(len(images)):
         if t in seen:
             continue
         cycle = [t]
-        total = g.roots[t]
+        total = coords[t]
         e = images[t]
         i, neg = e >> 1, e & 1
         while i != t:
             cycle.append(i)
-            total = vec_sub(total, g.roots[i]) if neg else vec_add(total, g.roots[i])
+            total = tuple(map(sub if neg else add, total, coords[i]))
             e = images[i]
             i, neg = e >> 1, neg ^ (e & 1)
         seen.update(cycle)

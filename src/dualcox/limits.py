@@ -1,8 +1,9 @@
 """Default enumeration caps and the construction limit.
 
-The command line resolves its effective cap from the ``--cap`` flag, the
-``DUALCOX_CAP`` environment variable, and these defaults, in that order;
-verification suites are fixed sweeps and take no cap.  Library calls take
+The command line's enumerating verbs resolve their effective cap from the
+``--cap`` flag, the ``DUALCOX_CAP`` environment variable, and these
+defaults, in that order.  The other verbs take no cap: verification suites
+are fixed sweeps, and the rest enumerate nothing.  Library calls take
 explicit cap arguments with these as defaults.
 
 Construction is limited by the number N of positive roots, because every

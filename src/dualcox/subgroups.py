@@ -279,8 +279,10 @@ def _split_components(g: CoxeterSystem, gens: frozenset, refl_set: frozenset):
 
 def _get_subgroup(g: CoxeterSystem, closed_set: frozenset) -> ReflectionSubgroup:
     sub = g._subgroup_registry.get(closed_set)
-    if sub is None:
-        sub = g._subgroup_registry[closed_set] = ReflectionSubgroup(g, closed_set)
+    if sub is None:  # concurrent callers keep the first one stored
+        sub = g._subgroup_registry.setdefault(
+            closed_set, ReflectionSubgroup(g, closed_set)
+        )
     return sub
 
 

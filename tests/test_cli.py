@@ -1,8 +1,12 @@
 """Command line behaviour: formats, determinism, exit codes, schema."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -198,6 +202,37 @@ class TestDeterminismAndErrors:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert "100000" in err and "2000" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["info", "A2"],
+        ["reflen", "A2", "-w", "0"],
+        ["closure", "A2", "-w", "0"],
+        ["perm", "A2", "-w", "0"],
+    ])
+    def test_only_enumerating_verbs_take_a_cap(self, capsys, monkeypatch, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv + ["--cap", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for value in ("1", "bogus"):
+            monkeypatch.setenv("DUALCOX_CAP", value)
+            assert cli.run(argv) == 0
+
+    def test_closed_pipe_ends_quietly(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dualcox.cli", "reds", "E6", "-w", "0 1 2 3 4 5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"t")
+            proc.stdout.close()  # 41,472 lines follow; the writer hits a closed pipe
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
     def test_missing_verb_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,10 @@
 """Group construction, elements, and the two word constructors."""
 
+import sys
+import threading
+
 import pytest
+from construction import reference_tables
 
 from dualcox import (
     CoxeterDescriptor,
@@ -15,7 +19,14 @@ from dualcox import (
     element_from_simple_word,
     enumerate_group,
 )
+from dualcox import coxeter, full_subgroup
 from dualcox.coxeter import CoxeterSystem
+
+LINEAR_TYPES = (
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5",
+    "D6", "E6", "E7", "E8", "F4", "G2", "H3", "H4", "B2xB2", "A2xA2",
+    "F4xA1", "H3xG2",
+)
 
 
 class TestDescriptor:
@@ -78,6 +89,41 @@ class TestBuild:
         m = build_group("D4").coxeter_matrix
         assert [m[2][j] for j in (0, 1, 3)] == [3, 3, 3]
         assert m[0][1] == m[0][3] == m[1][3] == 2
+
+    @pytest.mark.parametrize("name", LINEAR_TYPES)
+    def test_tables_match_the_closure_oracle(self, name):
+        roots, simple_ids, images, coxeter_matrix = reference_tables(name)
+        g = build_group(name)
+        assert g.roots == roots
+        assert g.simple_ids == simple_ids
+        assert tuple(r.images for r in g.reflections) == images
+        assert g.coxeter_matrix == coxeter_matrix
+
+    def test_concurrent_builds_share_one_system(self, monkeypatch):
+        monkeypatch.setattr(coxeter, "_BUILD_CACHE", {})
+        barrier = threading.Barrier(4)
+        found = []
+
+        def build():
+            barrier.wait()
+            g = build_group("D6")
+            found.append((g, full_subgroup(g)))
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(found) == 4
+        assert len({id(g) for g, _ in found}) == 1
+        assert len({id(sub) for _, sub in found}) == 1
+        assert (found[1][0].simple[0] * found[0][0].simple[0]).is_identity()
 
     def test_deterministic_indexing(self):
         g = build_group("B3")
