@@ -25,14 +25,12 @@ from .coxeter import (
     element_from_simple_word,
     embed_by_roots,
     enumerate_group,
-    is_conjugate,
 )
 from .cycles import (
     AllDecompositions,
     CycleDecomposition,
     all_decompositions,
     cycle_decomposition,
-    decomposition_from_word,
     decomposition_in_subgroup,
     is_indecomposable,
     is_indecomposable_brute,
@@ -85,10 +83,8 @@ from .subgroups import (
     canonical_generators,
     contains_element,
     full_subgroup,
-    irreducible_components,
     is_parabolic,
     reflection_closure,
-    subgroup_equal,
 )
 
 __version__ = "0.1.0"

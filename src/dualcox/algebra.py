@@ -2,14 +2,13 @@
 
 Scalars are pairs of ``fractions.Fraction``; rational values are the ``b == 0``
 subcase.  Elimination stays inside the field, so kernels and inverses are
-exact; it serves group construction and the matrices of elements.  Pivoting
+exact; it serves the matrices of elements.  Pivoting
 picks the first nonzero entry in column order: with exact arithmetic there
 is no reason to prefer large pivots.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 Rat = int | Fraction
@@ -34,25 +33,7 @@ class Scalar:
         self.b = _frac(b)
         self._hash = None
 
-    # -- construction and text form ------------------------------------
-
-    _TEXT_RE = re.compile(
-        r"^(-?\d+(?:/\d+)?)(?:([+-])(\d+(?:/\d+)?)\*sqrt5)?$"
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> "Scalar":
-        """Inverse of str(): accepts "p/q", "p" and "p/q+r/s*sqrt5" forms."""
-        m = cls._TEXT_RE.match(text)
-        if m is None:
-            raise ValueError(f"not a scalar literal: {text!r}")
-        a = Fraction(m.group(1))
-        if m.group(3) is None:
-            return cls(a)
-        b = Fraction(m.group(3))
-        if m.group(2) == "-":
-            b = -b
-        return cls(a, b)
+    # -- text form ------------------------------------------------------
 
     def __str__(self):
         if not self.b:
@@ -80,12 +61,6 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         return Scalar(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(other.a - self.a, other.b - self.b)
 
     def __neg__(self):
         return Scalar(-self.a, -self.b)
@@ -116,12 +91,6 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     # -- comparisons ----------------------------------------------------
 
@@ -175,10 +144,6 @@ class Scalar:
         other = _coerce(other)
         return (self - other).sign() >= 0
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.b
-
 
 def _coerce(x):
     if isinstance(x, Scalar):
@@ -190,9 +155,6 @@ def _coerce(x):
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-SQRT5 = Scalar(0, 1)
-#: (1 + sqrt5) / 2, the golden ratio.
-GOLDEN = Scalar(Fraction(1, 2), Fraction(1, 2))
 
 
 # -- vectors -----------------------------------------------------------
@@ -202,10 +164,6 @@ Vector = tuple  # tuple[Scalar, ...]
 
 def vector(entries) -> Vector:
     return tuple(e if isinstance(e, Scalar) else Scalar(e) for e in entries)
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(u, v))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
@@ -262,9 +220,6 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.n_cols)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.rows)
-
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.n_cols:
             raise ValueError("dimension mismatch")
@@ -275,11 +230,6 @@ class Matrix:
             raise ValueError("dimension mismatch")
         cols = other.columns()
         return Matrix([[vec_dot(r, c) for c in cols] for r in self.rows])
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValueError("dimension mismatch")
-        return Matrix([vec_add(r, s) for r, s in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):

@@ -345,7 +345,7 @@ def _cmd_cycledec(args):
             f"  [{word}] reflen {dual.reflection_length(f)} in {c.type_string}"
         )
     if args.check:
-        report = cycles.verify_decomposition(x, dec.factors)
+        report = cycles.verify_decomposition(x, dec.factors, cap=args.enum_cap)
         doc["verification"] = {
             "passed": report.passed,
             "checks": [

@@ -21,31 +21,21 @@ no arithmetic.  The Coxeter matrix comes from the products of opposite
 Cartan entries, 4 cos^2(pi/m_ij).  Matrices in the reflection representation
 are reconstructed on demand from the root action and cached.
 
-``I2(m)`` for m not in {3, 4, 5, 6} has no model over Q(sqrt 5); those groups
-use a combinatorial dihedral model that still exposes the signed action on m
-abstract "positive roots" (the mirrors), so all word, subgroup and orbit
-machinery works unchanged.  Only matrix-based operations are unavailable
-there.
+``I2(m)`` for m not in {3, 4, 6} uses a combinatorial dihedral model that
+still exposes the signed action on m abstract "positive roots" (the
+mirrors), so all word, subgroup and orbit machinery works unchanged.  Only
+matrix-based operations are unavailable there.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
 from . import rootdata
-from .algebra import (
-    Matrix,
-    Scalar,
-    Vector,
-    invert,
-    kernel_basis,
-    vec_dot,
-    vec_neg,
-)
+from .algebra import Matrix, Scalar, invert, kernel_basis, vec_neg
 from .errors import (
     GroupTooLargeError,
     MixedGroupsError,
@@ -201,11 +191,6 @@ class Element:
         if self._hash is None:
             self._hash = hash(self.images)
         return self._hash
-
-    def root_image(self, t: int) -> tuple[int, int]:
-        """Image of the t-th positive root: (root index, sign)."""
-        e = self.images[t]
-        return e >> 1, -1 if e & 1 else 1
 
     def conjugate_reflection(self, t: int) -> int:
         """Index of self * t * self^-1, read off the root action."""
@@ -409,7 +394,6 @@ class CoxeterSystem:
             rootdata.simple_root_block(f, n) for f, n in self.descriptor.components
         ]
         self.ambient_dim = dim = sum(b[0] for b in blocks)
-        self.form = self._assemble_form(blocks)
         simples, cartan = _cartan_data(blocks)
         rank = len(simples)
         # twice the ambient coordinates of the simple roots, in Z[phi]
@@ -474,28 +458,9 @@ class CoxeterSystem:
             for i in range(rank)
         )
 
-    @staticmethod
-    def _assemble_form(blocks):
-        """Block-diagonal form rows, or None when every block uses the dot product."""
-        if all(form is None for _, _, form in blocks):
-            return None
-        dim = sum(b[0] for b in blocks)
-        rows = [[Scalar(0)] * dim for _ in range(dim)]
-        off = 0
-        for bdim, _, form in blocks:
-            for i in range(bdim):
-                for j in range(bdim):
-                    if form is None:
-                        rows[off + i][off + j] = Scalar(1 if i == j else 0)
-                    else:
-                        rows[off + i][off + j] = form[i][j]
-            off += bdim
-        return tuple(tuple(r) for r in rows)
-
     def _build_dihedral(self):
         m = self.dihedral_m
         self.ambient_dim = None
-        self.form = None
         self.roots = None
         self.root_index = None
         self.simple_coordinates = None
@@ -514,19 +479,14 @@ class CoxeterSystem:
         self.simple_ids = (0, m - 1)
         self.coxeter_matrix = ((1, m), (m, 1))
 
-    def _form_row(self, alpha: Vector) -> Vector:
-        """Vector u with standard-dot(u, v) = pairing(alpha, v)."""
-        if self.form is None:
-            return alpha
-        return tuple(vec_dot(row, alpha) for row in self.form)
-
-    # ambient basis for matrices: simple roots extended by the form-orthogonal
-    # complement, which every group element fixes pointwise
+    # ambient basis for matrices: the simple roots extended by their
+    # dot-product complement, which every group element fixes pointwise.  H3
+    # and H4 blocks use the simple-root basis, so their roots span their own
+    # block and the complement lies in the blocks whose form is the dot product.
 
     @cached_property
     def _complement(self):
-        rows = [self._form_row(a) for a in self.simple_roots]
-        return tuple(kernel_basis(Matrix(rows)))
+        return tuple(kernel_basis(Matrix(self.simple_roots)))
 
     @cached_property
     def _basis_inv(self):
@@ -542,10 +502,6 @@ class CoxeterSystem:
     @property
     def order(self) -> int:
         return classical_order(self.descriptor)
-
-    @property
-    def positive_roots(self):
-        return self.roots
 
     @property
     def simple_roots(self):
@@ -595,6 +551,30 @@ def element_from_refl_word(g: CoxeterSystem, word) -> Element:
     return reduce(lambda acc, t: acc * g.reflections[t], word, g.identity)
 
 
+def cayley_bfs(g: CoxeterSystem, gens, cap: int = DEFAULT_ENUM_CAP) -> list:
+    """(element, distance) for every element the generators reach.
+
+    Breadth-first from the identity, multiplying on the right, so distances
+    are word lengths over ``gens``.  Raises GroupTooLargeError when more than
+    ``cap`` elements are reached.
+    """
+    seen = {g.identity.images}
+    found = [(g.identity, 0)]
+    for x, d in found:  # grows as elements are found
+        for s in gens:
+            y = x * s
+            if y.images not in seen:
+                if len(seen) >= cap:
+                    raise GroupTooLargeError(
+                        f"{g.type_string} is too large for exhaustive mode "
+                        f"(cap {cap})",
+                        cap=cap,
+                    )
+                seen.add(y.images)
+                found.append((y, d + 1))
+    return found
+
+
 def enumerate_group(g: CoxeterSystem, cap: int = DEFAULT_ENUM_CAP):
     """Every element exactly once, by BFS over the simple generators.
 
@@ -610,24 +590,7 @@ def enumerate_group(g: CoxeterSystem, cap: int = DEFAULT_ENUM_CAP):
                 cap=cap,
             )
         return g._all_elements
-    elements = [g.identity]
-    seen = {g.identity.images}
-    queue = deque(elements)
-    while queue:
-        x = queue.popleft()
-        for s in g.simple:
-            y = x * s
-            if y.images not in seen:
-                if len(seen) >= cap:
-                    raise GroupTooLargeError(
-                        f"{g.type_string} is too large for exhaustive mode "
-                        f"(cap {cap})",
-                        cap=cap,
-                    )
-                seen.add(y.images)
-                elements.append(y)
-                queue.append(y)
-    g._all_elements = tuple(elements)
+    g._all_elements = tuple(x for x, _ in cayley_bfs(g, g.simple, cap))
     return g._all_elements
 
 
@@ -671,9 +634,3 @@ def embed_by_roots(x: Element, target: CoxeterSystem) -> Element:
         raise ValueError("ambient dimensions differ; no common root coordinates")
     return element_from_matrix(target, x.matrix())
 
-
-def is_conjugate(x: Element, y: Element, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Conjugacy test by sweeping the whole (capped) group."""
-    if x.group is not y.group:
-        raise MixedGroupsError("conjugacy is only defined within one group")
-    return any((g * x) * g.inv() == y for g in enumerate_group(x.group, cap))

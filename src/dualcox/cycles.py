@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import dual, hurwitz, subgroups
-from .coxeter import Element
+from .coxeter import Element, enumerate_group
 from .errors import NotQuasiCoxeterError
 from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP
 
@@ -88,19 +88,6 @@ def cycle_decomposition(x: Element) -> CycleDecomposition:
     closure = dual.parabolic_closure(x)
     word = dual.first_reduced_word(x)
     return _decompose_along(x, word, closure, subgroups.full_subgroup(x.group))
-
-
-def decomposition_from_word(x: Element, word) -> CycleDecomposition:
-    """Decomposition of a parabolic quasi-Coxeter element along a given word.
-
-    Exists so independence from the chosen reduced word can be tested; the
-    word must be a reduced reflection word of x.
-    """
-    if not hurwitz.is_parabolic_quasi_coxeter(x):
-        raise NotQuasiCoxeterError("not a parabolic quasi-Coxeter element")
-    return _decompose_along(
-        x, word, dual.parabolic_closure(x), subgroups.full_subgroup(x.group)
-    )
 
 
 def decomposition_in_subgroup(x: Element,
@@ -175,8 +162,6 @@ def is_indecomposable_brute(x: Element, cap: int = DEFAULT_ENUM_CAP) -> bool:
     u x = x u exists.  The identity is decomposable by convention (its empty
     decomposition).  Used as the oracle against the fast path.
     """
-    from .coxeter import enumerate_group
-
     total = dual.reflection_length(x)
     if total == 0:
         return False

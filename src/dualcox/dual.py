@@ -151,12 +151,6 @@ class RedSet:
     words: tuple
     truncated: bool
 
-    def __iter__(self):
-        return iter(self.words)
-
-    def __len__(self):
-        return len(self.words)
-
 
 def reduced_expressions(x: Element, cap: int = DEFAULT_RED_CAP,
                         letters=None) -> RedSet:

@@ -5,24 +5,22 @@ class DualcoxError(Exception):
     """Base class for every error raised by this package."""
 
 
-class UnsupportedTypeError(DualcoxError, ValueError):
+class _PositionedError(DualcoxError, ValueError):
+    """Input error that may name the offending position in the input text."""
+
+    def __init__(self, message, position=None):
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
+        self.position = position
+
+
+class UnsupportedTypeError(_PositionedError):
     """Group descriptor names a type outside the supported finite families."""
 
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-        self.position = position
 
-
-class WordParseError(DualcoxError, ValueError):
+class WordParseError(_PositionedError):
     """Element input (simple word, reflection word, cycle form) failed to parse."""
-
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-        self.position = position
 
 
 class MixedGroupsError(DualcoxError, ValueError):

@@ -4,8 +4,9 @@ The k-strand braid group acts on the reduced reflection words of an element
 of length k: the i-th generator replaces the adjacent pair (t_i, t_(i+1)) by
 (t_i t_(i+1) t_i, t_i), keeping the product fixed.  Orbits are computed by
 enumerating all reduced words and merging across single moves with a
-union-find; the forward moves alone already cover every edge because each
-has an inverse move back.
+union-find; the forward moves alone already cover every edge because
+repeating one move returns to the start word, so its inverse is a power of
+itself.
 
 Whether the action is transitive is detected without orbit enumeration: take
 any one reduced word and test whether the reflections in it generate a
@@ -23,22 +24,16 @@ from .errors import CapExceededError, InternalInvariantError
 from .limits import DEFAULT_RED_CAP
 
 
-def hurwitz_move(g, word, i: int, inverse: bool = False):
+def hurwitz_move(g, word, i: int):
     """Apply the braid generator at position i (1-based) to a reflection word.
 
-    Forward: (..., a, b, ...) -> (..., a b a, a, ...).
-    Inverse: (..., a, b, ...) -> (..., b, b a b, ...).
+    (..., a, b, ...) -> (..., a b a, a, ...).
     """
     if not 1 <= i <= len(word) - 1:
         raise IndexError(f"move position {i} out of range for a word of length {len(word)}")
     p = i - 1
     a, b = word[p], word[p + 1]
-    refl = g.reflections
-    if inverse:
-        pair = (b, refl[b].images[a] >> 1)
-    else:
-        pair = (refl[a].images[b] >> 1, a)
-    return word[:p] + pair + word[p + 2 :]
+    return word[:p] + (g.reflections[a].images[b] >> 1, a) + word[p + 2 :]
 
 
 @dataclass(frozen=True)

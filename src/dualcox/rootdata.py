@@ -11,10 +11,10 @@ invariant form is the standard dot product:
 * ``E6/7/8`` with the usual half-integer coordinates in Q^8;
 * ``F4, G2`` with their standard integer embeddings.
 
-``H3``, ``H4`` and ``I2(5)`` do not fit in rational coordinates; they use the
-basis of simple roots itself, carrying the invariant form with entries
--cos(pi/m) in Q(sqrt 5).  Dihedral types ``I2(m)`` for other m are handled by
-a combinatorial model elsewhere and have no entry here.
+``H3`` and ``H4`` do not fit in rational coordinates; they use the basis of
+simple roots itself, carrying the invariant form with entries -cos(pi/m) in
+Q(sqrt 5).  Dihedral types ``I2(m)`` other than ``A2``, ``B2`` and ``G2`` are
+handled by a combinatorial model elsewhere and have no entry here.
 """
 
 from __future__ import annotations
@@ -112,10 +112,6 @@ def simple_root_block(family: str, n: int):
         orders = {k: v for k, v in orders.items() if k[1] < n}
         roots = [_e(i, n) for i in range(n)]
         return n, roots, _basis_form(orders, n)
-    if family == "I":
-        if n == 5:
-            return 2, [_e(0, 2), _e(1, 2)], _basis_form({(0, 1): 5}, 2)
-        raise ValueError(f"I2({n}) has no linear model here")
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -14,12 +14,11 @@ parabolic subgroup are read off below-sets in absolute order (see ``dual``).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import dual
-from .coxeter import CoxeterSystem, Element, element_from_refl_word
-from .errors import GroupTooLargeError, InternalInvariantError, MixedGroupsError
+from .coxeter import CoxeterSystem, Element, cayley_bfs, element_from_refl_word
+from .errors import InternalInvariantError, MixedGroupsError
 from .limits import DEFAULT_ENUM_CAP
 
 
@@ -108,21 +107,7 @@ class ReflectionSubgroup:
         if self._elements is None:
             g = self.ambient
             gens = [g.reflections[t] for t in sorted(self.canonical_gens)]
-            seen = {g.identity}
-            queue = deque(seen)
-            while queue:
-                x = queue.popleft()
-                for s in gens:
-                    y = x * s
-                    if y not in seen:
-                        if len(seen) >= cap:
-                            raise GroupTooLargeError(
-                                f"subgroup too large to enumerate (cap {cap})",
-                                cap=cap,
-                            )
-                        seen.add(y)
-                        queue.append(y)
-            self._elements = frozenset(seen)
+            self._elements = frozenset(x for x, _ in cayley_bfs(g, gens, cap))
         return self._elements
 
 
@@ -304,10 +289,6 @@ def component_subgroup(sub: ReflectionSubgroup, component: SubgroupComponent):
     return _get_subgroup(sub.ambient, frozenset(component.reflections))
 
 
-def irreducible_components(sub: ReflectionSubgroup):
-    return sub.components
-
-
 def is_parabolic(sub: ReflectionSubgroup) -> bool:
     """Whether the subgroup is the pointwise stabilizer of a subspace.
 
@@ -335,9 +316,3 @@ def contains_element(sub: ReflectionSubgroup, x: Element,
     if is_parabolic(sub):
         return dual.below_reflections(x) <= sub.refl_set
     return x in sub.elements(cap)
-
-
-def subgroup_equal(a: ReflectionSubgroup, b: ReflectionSubgroup) -> bool:
-    if a.ambient is not b.ambient:
-        raise MixedGroupsError("subgroups live in different ambient groups")
-    return a.refl_set == b.refl_set

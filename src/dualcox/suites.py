@@ -11,20 +11,19 @@ Everything here is exact; no tolerances appear anywhere.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from . import cycles, dual, hurwitz, permmodel, subgroups
 from .coxeter import (
-    Element,
     build_group,
+    cayley_bfs,
     classical_order,
     classical_root_count,
     element_from_simple_word,
     embed_by_roots,
     enumerate_group,
-    is_conjugate,
 )
 
 
@@ -33,21 +32,6 @@ class Check:
     name: str
     ok: bool
     detail: str = ""
-
-
-def _bfs_reflection_distances(g):
-    """Cayley-graph distance from the identity over all reflections."""
-    dist = {g.identity.images: 0}
-    queue = deque([g.identity])
-    while queue:
-        x = queue.popleft()
-        d = dist[x.images] + 1
-        for t in g.reflections:
-            y = t * x
-            if y.images not in dist:
-                dist[y.images] = d
-                queue.append(y)
-    return dist
 
 
 def _all_reflection_subgroups(g):
@@ -109,17 +93,13 @@ def suite_length_bfs():
         if g.descriptor in done:
             continue
         done.add(g.descriptor)
-        dist = _bfs_reflection_distances(g)
-        bad = sum(
-            1
-            for x in enumerate_group(g)
-            if dual.reflection_length(x) != dist[x.images]
-        )
+        reached = cayley_bfs(g, g.reflections)
+        bad = sum(1 for x, d in reached if dual.reflection_length(x) != d)
         checks.append(
             Check(
                 f"{g.type_string}: length equals reflection Cayley distance",
                 bad == 0,
-                f"{len(dist)} elements",
+                f"{len(reached)} elements",
             )
         )
     return checks
@@ -176,6 +156,11 @@ def suite_g2_two_orbits():
 # -- d4-quasi-coxeter ----------------------------------------------------
 
 
+def _is_conjugate(x, y) -> bool:
+    """Conjugacy test by sweeping the whole group."""
+    return any(g * x * g.inv() == y for g in enumerate_group(x.group))
+
+
 def _d4_example():
     g = build_group("D4")
     w = element_from_simple_word(g, [1, 2, 1, 2, 2, 0, 2, 3])
@@ -196,7 +181,7 @@ def suite_d4_quasi_coxeter():
     checks.append(
         Check(
             "D4 example: not conjugate to the Coxeter element s0 s1 s2 s3",
-            not is_conjugate(w, coxeter_elt),
+            not _is_conjugate(w, coxeter_elt),
         )
     )
     dec = cycles.cycle_decomposition(w)
@@ -314,20 +299,9 @@ def suite_subgroup_length():
         n_pairs = 0
         for sub in _all_reflection_subgroups(g):
             gens = [g.reflections[t] for t in sorted(sub.refl_set)]
-            dist = {g.identity.images: 0}
-            queue = deque([g.identity])
-            while queue:
-                x = queue.popleft()
-                d = dist[x.images] + 1
-                for t in gens:
-                    y = t * x
-                    if y.images not in dist:
-                        dist[y.images] = d
-                        queue.append(y)
-            for images, d in dist.items():
-                n_pairs += 1
-                if dual.reflection_length(Element(g, images)) != d:
-                    bad += 1
+            reached = cayley_bfs(g, gens)
+            n_pairs += len(reached)
+            bad += sum(1 for x, d in reached if dual.reflection_length(x) != d)
         checks.append(
             Check(
                 f"{name}: subgroup factorization length equals reflection length",

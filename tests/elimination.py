@@ -7,6 +7,8 @@ space of w is the column space of w - 1, and a subgroup is parabolic when no
 reflection outside it fixes its common fixed space pointwise.
 """
 
+from construction import _ambient_simples_and_form
+
 from dualcox import reflection_closure
 from dualcox.algebra import Matrix, _rref, kernel_basis, vec_dot
 
@@ -77,14 +79,20 @@ def length_and_below(x):
 def is_parabolic_by_fixed_space(sub) -> bool:
     """Whether the reflections fixing the subgroup's fixed space are its own."""
     g = sub.ambient
+    _, form = _ambient_simples_and_form(g.descriptor)
+
+    def form_row(alpha):
+        """u with dot(u, v) equal to the invariant form of alpha and v."""
+        return alpha if form is None else tuple(vec_dot(row, alpha) for row in form)
+
     gens = sorted(sub.canonical_gens)
     if gens:
-        fixed = kernel_basis(Matrix([g._form_row(g.roots[t]) for t in gens]))
+        fixed = kernel_basis(Matrix([form_row(g.roots[t]) for t in gens]))
     else:
         fixed = Matrix.identity(g.ambient_dim).rows
     stabilizing = frozenset(
         t for t in range(g.n_reflections)
-        if all(not vec_dot(g._form_row(g.roots[t]), e) for e in fixed)
+        if all(not vec_dot(form_row(g.roots[t]), e) for e in fixed)
     )
     return stabilizing == sub.refl_set
 

@@ -188,6 +188,14 @@ class TestDeterminismAndErrors:
         monkeypatch.setenv("DUALCOX_CAP", "3")
         assert cli.run(["orbits", "G2", "-w", "s t s t", "--cap", "100"]) == 0
 
+    def test_check_honours_the_cap(self, capsys, monkeypatch):
+        argv = ["cycledec", "D4", "-w", "1 2 1 2 2 0 2 3", "--check"]
+        assert cli.run(argv + ["--cap", "1"]) == 1
+        assert "cap" in capsys.readouterr().err
+        monkeypatch.setenv("DUALCOX_CAP", "1")
+        assert cli.run(["cycledec", "B4", "-w", "0 1 2 3", "--check"]) == 1
+        assert "cap" in capsys.readouterr().err
+
     def test_non_quasi_coxeter_is_a_domain_error(self, capsys):
         assert cli.run(["cycledec", "G2", "-w", "s t s t"]) == 1
         err = capsys.readouterr().err

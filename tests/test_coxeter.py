@@ -4,7 +4,7 @@ import sys
 import threading
 
 import pytest
-from construction import reference_tables
+from construction import _ambient_simples_and_form, reference_tables
 
 from dualcox import (
     CoxeterDescriptor,
@@ -18,8 +18,10 @@ from dualcox import (
     element_from_refl_word,
     element_from_simple_word,
     enumerate_group,
+    reflection_closure,
 )
 from dualcox import coxeter, full_subgroup
+from dualcox.algebra import Scalar, vec_dot
 from dualcox.coxeter import CoxeterSystem
 
 LINEAR_TYPES = (
@@ -72,7 +74,6 @@ class TestBuild:
 
     def test_root_accessors(self):
         g = build_group("B2")
-        assert g.positive_roots == g.roots
         assert len(g.simple_roots) == 2
         assert all(g.root_index[a] == k for a, k in zip(g.simple_roots, g.simple_ids))
         assert build_group("I2(7)").simple_roots is None
@@ -196,15 +197,33 @@ class TestElementOps:
             a.identity * b.identity
 
     def test_matrix_agrees_with_root_action(self):
-        for name in ("A2", "G2", "H3"):
+        # B2xH3 and H3xA1 mix a simple-root-basis block with dot-product ones
+        for name in ("A2", "G2", "H3", "B2xH3", "H3xA1"):
             g = build_group(name)
             for x in enumerate_group(g):
                 m = x.matrix()
-                for t in range(g.n_reflections):
-                    j, sign = x.root_image(t)
+                for t, e in enumerate(x.images):
                     image = m.apply(g.roots[t])
-                    expected = g.roots[j] if sign > 0 else tuple(-c for c in g.roots[j])
-                    assert image == expected
+                    root = g.roots[e >> 1]
+                    assert image == (tuple(-c for c in root) if e & 1 else root)
+
+    @pytest.mark.parametrize("name", ["B3", "H3", "B2xH3", "H3xA1"])
+    def test_reflection_matrices_are_orthogonal_reflections(self, name):
+        # s(v) = v - 2 (v, a) / (a, a) a on the whole ambient space, under the
+        # invariant form of the closure oracle: the dot-product complement
+        # the matrices fix is orthogonal to every root under that form too
+        g = build_group(name)
+        _, form = _ambient_simples_and_form(g.descriptor)
+
+        def pair(u, v):
+            return vec_dot(u, v if form is None else tuple(vec_dot(r, v) for r in form))
+
+        for t, a in enumerate(g.roots):
+            m = g.reflections[t].matrix()
+            for k in range(g.ambient_dim):
+                v = tuple(Scalar(int(i == k)) for i in range(g.ambient_dim))
+                c = pair(v, a) * 2 / pair(a, a)
+                assert m.column(k) == tuple(x - c * y for x, y in zip(v, a))
 
     def test_conjugation_is_an_action(self):
         g = build_group("B2")
@@ -232,6 +251,12 @@ class TestElementOps:
         with pytest.raises(GroupTooLargeError):
             enumerate_group(build_group("A3"), cap=10)
 
+    def test_cayley_distance_over_simple_generators_is_coxeter_length(self):
+        g = build_group("B3")
+        reached = coxeter.cayley_bfs(g, g.simple)
+        assert [x for x, _ in reached] == list(enumerate_group(g))
+        assert all(d == len(x.s_word()) for x, d in reached)
+
 
 class TestDihedralModel:
     def test_no_linear_model(self):
@@ -240,27 +265,27 @@ class TestDihedralModel:
             g.identity.matrix()
 
     def test_census_matches_linear_models(self):
-        # the combinatorial model built at m in {3,4,5,6} must agree with the
-        # root-system groups on every model-independent invariant
+        # the combinatorial model built at m in {3,4,5,6} must agree with
+        # linear dihedral groups on every model-independent invariant; for
+        # m = 5 that is the parabolic subgroup <s0, s1> of H3
         from dualcox import dual, hurwitz
 
-        for m, name in ((3, "A2"), (4, "B2"), (5, "I2(5)"), (6, "G2")):
+        def census(elements):
+            return sorted(
+                (x.order(), dual.reflection_length(x), len(hurwitz.hurwitz_orbits(x)))
+                for x in elements
+            )
+
+        h3 = build_group("H3")
+        linear = {
+            3: enumerate_group(build_group("A2")),
+            4: enumerate_group(build_group("B2")),
+            5: reflection_closure(h3, h3.simple_ids[:2]).elements(),
+            6: enumerate_group(build_group("G2")),
+        }
+        for m, elements in linear.items():
             dihedral = CoxeterSystem(CoxeterDescriptor((("I", m),)))
-            linear = build_group(name)
-
-            def census(g):
-                data = []
-                for x in enumerate_group(g):
-                    data.append(
-                        (
-                            x.order(),
-                            dual.reflection_length(x),
-                            len(hurwitz.hurwitz_orbits(x)),
-                        )
-                    )
-                return sorted(data)
-
-            assert census(dihedral) == census(linear)
+            assert census(enumerate_group(dihedral)) == census(elements)
 
     def test_dihedral_s_word_roundtrip(self):
         g = build_group("I2(8)")

@@ -7,7 +7,6 @@ from dualcox import (
     all_decompositions,
     build_group,
     cycle_decomposition,
-    decomposition_from_word,
     decomposition_in_subgroup,
     element_from_simple_word,
     enumerate_group,
@@ -16,10 +15,12 @@ from dualcox import (
     is_indecomposable_brute,
     is_parabolic_quasi_coxeter,
     iter_reduced,
+    parabolic_closure,
     reflection_closure,
     reflection_length,
     verify_decomposition,
 )
+from dualcox import cycles
 
 
 def stst():
@@ -67,8 +68,9 @@ class TestCycleDecomposition:
             if not is_parabolic_quasi_coxeter(x):
                 continue
             reference = cycle_decomposition(x)
+            closure = parabolic_closure(x)
             for word in iter_reduced(x):
-                dec = decomposition_from_word(x, word)
+                dec = cycles._decompose_along(x, word, closure, full_subgroup(g))
                 assert dec.factors == reference.factors
 
     def test_type_a_factors_are_the_classical_cycles(self):

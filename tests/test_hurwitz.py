@@ -55,17 +55,22 @@ class TestMoves:
             x = element_from_refl_word(g, word)
             before = reflection_closure(g, set(word)).refl_set
             for i in range(1, len(word)):
-                for inverse in (False, True):
-                    moved = hurwitz_move(g, word, i, inverse=inverse)
-                    assert element_from_refl_word(g, moved) == x
-                    assert reflection_closure(g, set(moved)).refl_set == before
+                moved = hurwitz_move(g, word, i)
+                assert element_from_refl_word(g, moved) == x
+                assert reflection_closure(g, set(moved)).refl_set == before
 
-    def test_forward_then_inverse_is_identity(self):
+    def test_repeated_move_returns_to_the_start(self):
+        # so each move's inverse is a power of itself, and the union-find
+        # over forward moves alone finds whole orbits
         g = build_group("B3")
         for word in sample_words(g):
             for i in range(1, len(word)):
-                assert hurwitz_move(g, hurwitz_move(g, word, i), i, inverse=True) == word
-                assert hurwitz_move(g, hurwitz_move(g, word, i, inverse=True), i) == word
+                moved = hurwitz_move(g, word, i)
+                for _ in range(g.n_reflections ** 2):
+                    if moved == word:
+                        break
+                    moved = hurwitz_move(g, moved, i)
+                assert moved == word
 
     def test_braid_relation(self):
         g = build_group("B3")

@@ -6,6 +6,9 @@ import pytest
 from elimination import all_reflection_subgroups, is_parabolic_by_fixed_space
 
 from dualcox import (
+    CoxeterDescriptor,
+    CoxeterSystem,
+    GroupTooLargeError,
     MixedGroupsError,
     build_group,
     canonical_generators,
@@ -15,7 +18,6 @@ from dualcox import (
     is_parabolic,
     iter_reduced,
     reflection_closure,
-    subgroup_equal,
 )
 
 
@@ -228,11 +230,16 @@ class TestMembership:
         a3, b2 = build_group("A3"), build_group("B2")
         with pytest.raises(MixedGroupsError):
             contains_element(full_subgroup(a3), b2.identity)
-        with pytest.raises(MixedGroupsError):
-            subgroup_equal(full_subgroup(a3), full_subgroup(b2))
+        assert full_subgroup(a3) != full_subgroup(b2)
 
     def test_subgroup_equality_ignores_generator_order(self):
         g, s, t, tst, sts = g2_sub_indices()
-        assert subgroup_equal(
-            reflection_closure(g, {s, tst}), reflection_closure(g, {tst, s})
-        )
+        assert reflection_closure(g, {s, tst}) == reflection_closure(g, {tst, s})
+
+    def test_element_enumeration_cap(self):
+        # a private system, so no other test has enumerated this subgroup yet
+        g = CoxeterSystem(CoxeterDescriptor.parse("B3"))
+        sub = reflection_closure(g, g.simple_ids[1:])  # type A2, six elements
+        with pytest.raises(GroupTooLargeError):
+            sub.elements(cap=5)
+        assert len(sub.elements(cap=6)) == 6
