@@ -40,7 +40,9 @@ from .dual import (
     RedSet,
     absolute_leq,
     below_reflections,
+    count_reduced,
     first_reduced_word,
+    interval,
     iter_reduced,
     parabolic_closure,
     reduced_expressions,

@@ -263,6 +263,10 @@ def _cmd_closure(args):
 def _cmd_reds(args):
     g = build_group(args.group)
     x = _element_from_args(g, args)
+    if args.count:
+        n = dual.count_reduced(x, cap=args.enum_cap)
+        _emit(args, {"element": _element_json(x), "n_reds": n}, [str(n)])
+        return 0
     red = dual.reduced_expressions(x, cap=args.red_cap)
     doc = {
         "element": _element_json(x),
@@ -459,7 +463,11 @@ def _build_parser():
     )
     add("reflen", _cmd_reflen, "reflection length of an element", element=True)
     add("closure", _cmd_closure, "parabolic closure of an element", element=True)
-    add("reds", _cmd_reds, "all reduced reflection words", element=True, cap=True)
+    reds = add("reds", _cmd_reds, "all reduced reflection words",
+               element=True, cap=True)
+    reds.add_argument("--count", action="store_true",
+                      help="print only the number of words, counted without "
+                      "listing them (--cap then bounds the elements below w)")
     orbits = add("orbits", _cmd_orbits, "Hurwitz orbits on the reduced words",
                  element=True, cap=True)
     orbits.add_argument("--with-subgroups", action="store_true",

@@ -384,6 +384,8 @@ class CoxeterSystem:
         # caches shared by the higher layers
         self._refl_lookup = {r.images: t for t, r in enumerate(self.reflections)}
         self._below_cache = {}
+        self._interval_edges = {}
+        self._interval_nodes = {}
         self._all_elements = None
         self._subgroup_registry = {}
 
@@ -509,6 +511,16 @@ class CoxeterSystem:
             return None
         return tuple(self.roots[k] for k in self.simple_ids)
 
+    def clear_caches(self):
+        """Drop the below-sets, the interval graph and the element listing.
+
+        They are rebuilt on demand; interned subgroups are kept.
+        """
+        self._below_cache.clear()
+        self._interval_edges.clear()
+        self._interval_nodes.clear()
+        self._all_elements = None
+
     def reflection_index(self, x: Element) -> int | None:
         """Index of x among the reflections, or None if x is not one."""
         return self._refl_lookup.get(x.images)
@@ -551,6 +563,26 @@ def element_from_refl_word(g: CoxeterSystem, word) -> Element:
     return reduce(lambda acc, t: acc * g.reflections[t], word, g.identity)
 
 
+def breadth_first(root: Element, step, cap: int, overflow) -> list:
+    """(element, distance) for every element reachable from ``root``.
+
+    ``step(x)`` yields the neighbours of x; the seen-set is keyed by
+    ``images``.  When a new element would make more than ``cap``,
+    ``overflow(built, distance)`` builds the error raised, from the number
+    of elements built so far and the distance being reached.
+    """
+    seen = {root.images}
+    found = [(root, 0)]
+    for x, d in found:  # grows as elements are found
+        for y in step(x):
+            if y.images not in seen:
+                if len(seen) >= cap:
+                    raise overflow(len(seen), d + 1)
+                seen.add(y.images)
+                found.append((y, d + 1))
+    return found
+
+
 def cayley_bfs(g: CoxeterSystem, gens, cap: int = DEFAULT_ENUM_CAP) -> list:
     """(element, distance) for every element the generators reach.
 
@@ -558,21 +590,15 @@ def cayley_bfs(g: CoxeterSystem, gens, cap: int = DEFAULT_ENUM_CAP) -> list:
     are word lengths over ``gens``.  Raises GroupTooLargeError when more than
     ``cap`` elements are reached.
     """
-    seen = {g.identity.images}
-    found = [(g.identity, 0)]
-    for x, d in found:  # grows as elements are found
-        for s in gens:
-            y = x * s
-            if y.images not in seen:
-                if len(seen) >= cap:
-                    raise GroupTooLargeError(
-                        f"{g.type_string} is too large for exhaustive mode "
-                        f"(cap {cap})",
-                        cap=cap,
-                    )
-                seen.add(y.images)
-                found.append((y, d + 1))
-    return found
+    return breadth_first(
+        g.identity,
+        lambda x: map(x.__mul__, gens),
+        cap,
+        lambda built, d: GroupTooLargeError(
+            f"{g.type_string} is too large for exhaustive mode (cap {cap})",
+            cap=cap,
+        ),
+    )
 
 
 def enumerate_group(g: CoxeterSystem, cap: int = DEFAULT_ENUM_CAP):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import dual, hurwitz, subgroups
-from .coxeter import Element, enumerate_group
+from .coxeter import Element
 from .errors import NotQuasiCoxeterError
 from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP
 
@@ -160,20 +160,17 @@ def is_indecomposable_brute(x: Element, cap: int = DEFAULT_ENUM_CAP) -> bool:
 
     True when no u with 0 < len(u) < len(x), lengths adding up, and
     u x = x u exists.  The identity is decomposable by convention (its empty
-    decomposition).  Used as the oracle against the fast path.
+    decomposition).  Lengths add up exactly when u lies in the absolute
+    interval [1, x], so the search runs over its elements; ``cap`` bounds
+    their number.  Used as the oracle against the fast path.
     """
     total = dual.reflection_length(x)
     if total == 0:
         return False
     if total == 1:
         return True
-    for u in enumerate_group(x.group, cap):
-        lu = dual.reflection_length(u)
-        if not 0 < lu < total:
-            continue
-        if dual.reflection_length(u.inv() * x) != total - lu:
-            continue
-        if u * x == x * u:
+    for u, drop in dual.interval(x, cap):
+        if 0 < drop < total and u * x == x * u:
             return False
     return True
 
@@ -209,7 +206,8 @@ def verify_decomposition(x: Element, factors,
 
     Verifies that the factors multiply to x, commute pairwise, have additive
     reflection lengths, and are each indecomposable under the exhaustive
-    search.  Failures are reported, not raised.
+    search over their absolute intervals.  Failures are reported, not
+    raised.
     """
     factors = tuple(factors)
     g = x.group

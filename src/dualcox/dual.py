@@ -14,6 +14,17 @@ The below-set generates the parabolic closure of w, whose rank is dim Mov(w),
 the reflection length of w (Carter, *Conjugacy classes in the Weyl group*,
 1972).  Below-sets are cached per group, keyed by the element's root action.
 The test suite checks all of this against exact elimination on w - 1.
+
+Reduced words are read off the absolute interval [1, w]: its elements are
+the nodes of a graph with an edge y -> t y for every reflection t below y,
+and the reduced words of w are exactly its paths from w down to the
+identity.  For a Coxeter element the interval is the noncrossing-partition
+lattice (Bessis, *The dual braid monoid*, 2003), far smaller than the word
+count: 833 elements against 41,472 words in E6.  The graph is expanded
+lazily and cached per group, one product per edge, with every node interned
+by its root action, so listing the words forms no product per word,
+counting them is a sum over the nodes, and a second listing reuses the
+graph.  The test suite keeps the product-per-word tree walk as the oracle.
 """
 
 from __future__ import annotations
@@ -22,9 +33,9 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from . import subgroups
-from .coxeter import Element
-from .errors import MixedGroupsError
-from .limits import DEFAULT_RED_CAP
+from .coxeter import Element, breadth_first
+from .errors import CapExceededError, MixedGroupsError
+from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP
 
 
 def _dihedral_class(x: Element) -> int:
@@ -125,23 +136,86 @@ def first_reduced_word(x: Element, letters=None) -> tuple:
     return tuple(word)
 
 
+def _edges(y: Element) -> tuple:
+    """Edges (t, t y) of the interval graph out of y, in ascending t.
+
+    One product per edge, computed the first time y is expanded and cached
+    per group.  Every child is interned by ``images``, so an element reached
+    from several parents is stored once.
+    """
+    g = y.group
+    edges = g._interval_edges.get(y.images)
+    if edges is None:
+        nodes = g._interval_nodes
+        refl = g.reflections
+        children = ((t, refl[t] * y) for t in sorted(below_reflections(y)))
+        edges = tuple((t, nodes.setdefault(z.images, z)) for t, z in children)
+        edges = g._interval_edges.setdefault(y.images, edges)
+    return edges
+
+
+def interval(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
+    """(y, l(x) - l(y)) for every y in the absolute interval [1, x].
+
+    Breadth-first from x along the interval graph.  Every edge lowers
+    reflection length by one, so the distance from x is the drop in length
+    and the list runs by decreasing length, down to the identity.  Raises
+    CapExceededError when [1, x] has more than ``cap`` elements.
+    """
+    def overflow(built, depth):
+        return CapExceededError(
+            f"the interval [1, w] in {x.group.type_string} has more than "
+            f"{cap} elements; stopped after building {built} of them, "
+            f"{depth} of {reflection_length(x)} levels below w; "
+            "raise the cap with --cap or DUALCOX_CAP",
+            cap=cap,
+        )
+
+    return breadth_first(x, lambda y: [z for _, z in _edges(y)], cap, overflow)
+
+
+def count_reduced(x: Element, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Number of reduced reflection words of x, without listing them.
+
+    #Red(1) = 1 and #Red(y) is the sum of #Red(t y) over the edges out of y,
+    summed over [1, x] from the identity up.  ``cap`` bounds the size of
+    [1, x], as in :func:`interval`.
+    """
+    count = {}  # by id: the nodes below x are interned
+    for y, _ in reversed(interval(x, cap)):
+        edges = _edges(y)
+        count[id(y)] = sum(count[id(z)] for _, z in edges) if edges else 1
+    return count[id(x)]
+
+
 def iter_reduced(x: Element, letters=None):
     """Yield every reduced reflection word of x, in lexicographic order.
 
     Each word (t_1, ..., t_k) satisfies t_1 t_2 ... t_k = x with k the
-    reflection length; prepending a below-reflection and recursing emits each
-    word exactly once.
+    reflection length.  The words are the paths from x down to the identity
+    in the interval graph, read depth first with ascending letters, so each
+    is emitted exactly once.
     """
-    if x.is_identity():
+    ident = x.group.identity.images
+    if x.images == ident:
         yield ()
         return
-    pool = below_reflections(x)
-    if letters is not None:
-        pool = pool & letters
-    refl = x.group.reflections
-    for t in sorted(pool):
-        for tail in iter_reduced(refl[t] * x, letters):
-            yield (t,) + tail
+    word = []
+    stack = [iter(_edges(x))]
+    while stack:
+        for t, y in stack[-1]:
+            if letters is not None and t not in letters:
+                continue
+            if y.images == ident:
+                yield (*word, t)
+            else:
+                word.append(t)
+                stack.append(iter(_edges(y)))
+            break
+        else:
+            stack.pop()
+            if stack:
+                word.pop()
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 The k-strand braid group acts on the reduced reflection words of an element
 of length k: the i-th generator replaces the adjacent pair (t_i, t_(i+1)) by
 (t_i t_(i+1) t_i, t_i), keeping the product fixed.  Orbits are computed by
-enumerating all reduced words and merging across single moves with a
+listing all reduced words and merging across single moves with a
 union-find; the forward moves alone already cover every edge because
 repeating one move returns to the start word, so its inverse is a power of
-itself.
+itself.  The words come from the cached interval graph of ``dual``, so an
+element whose words were listed before is listed again without forming a
+product.
 
 Whether the action is transitive is detected without orbit enumeration: take
 any one reduced word and test whether the reflections in it generate a

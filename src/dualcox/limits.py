@@ -4,7 +4,9 @@ The command line's enumerating verbs resolve their effective cap from the
 ``--cap`` flag, the ``DUALCOX_CAP`` environment variable, and these
 defaults, in that order.  The other verbs take no cap: verification suites
 are fixed sweeps, and the rest enumerate nothing.  Library calls take
-explicit cap arguments with these as defaults.
+explicit cap arguments with these as defaults.  The element cap also bounds
+the absolute interval [1, w] that ``reds --count`` and the exhaustive
+indecomposability check walk.
 
 Construction is limited by the number N of positive roots, because every
 group stores an N x N table of reflection images.

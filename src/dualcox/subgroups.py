@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import dual
 from .coxeter import CoxeterSystem, Element, cayley_bfs, element_from_refl_word
-from .errors import InternalInvariantError, MixedGroupsError
+from .errors import GroupTooLargeError, InternalInvariantError, MixedGroupsError
 from .limits import DEFAULT_ENUM_CAP
 
 
@@ -108,6 +108,12 @@ class ReflectionSubgroup:
             g = self.ambient
             gens = [g.reflections[t] for t in sorted(self.canonical_gens)]
             self._elements = frozenset(x for x, _ in cayley_bfs(g, gens, cap))
+        elif len(self._elements) > cap:
+            raise GroupTooLargeError(
+                f"subgroup {self.type_string} has {len(self._elements)} "
+                f"elements, above the cap of {cap}",
+                cap=cap,
+            )
         return self._elements
 
 

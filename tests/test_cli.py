@@ -90,6 +90,21 @@ class TestElementVerbs:
         doc = run_json(capsys, ["reds", "G2", "-w", "s t s t", "--json"], schema)
         assert doc["n_reds"] == 6 and doc["truncated"] is False
 
+    def test_reds_count(self, capsys, schema):
+        doc = run_json(capsys, ["reds", "G2", "-w", "s t s t", "--count", "--json"],
+                       schema)
+        assert doc == {"element": [0, 1, 0, 1], "n_reds": 6}
+
+    def test_reds_count_of_the_e7_coxeter_element(self, capsys):
+        # 18^7 7! / |E7| words, above the default listing cap of 10^6
+        assert cli.run(["reds", "E7", "-w", "0 1 2 3 4 5 6", "--count"]) == 0
+        assert capsys.readouterr().out == "1062882\n"
+
+    def test_reds_count_cap_is_a_domain_error(self, capsys):
+        argv = ["reds", "E6", "-w", "0 1 2 3 4 5", "--count", "--cap", "10"]
+        assert cli.run(argv) == 1
+        assert "stopped after building 10 of them" in capsys.readouterr().err
+
     def test_orbits_verb(self, capsys, schema, tmp_path):
         dot = tmp_path / "orbits.dot"
         doc = run_json(
@@ -119,6 +134,15 @@ class TestElementVerbs:
             capsys, ["cycledec", "A3", "-w", "0 2", "--check", "--json"], schema
         )
         assert len(doc["factors"]) == 2
+        assert doc["verification"]["passed"] is True
+
+    def test_check_answers_on_e7(self, capsys, schema):
+        doc = run_json(
+            capsys,
+            ["cycledec", "E7", "-w", "0 1 2 3 4 5 6", "--check", "--json"],
+            schema,
+        )
+        assert len(doc["factors"]) == 1
         assert doc["verification"]["passed"] is True
 
     def test_indec_verb(self, capsys, schema):

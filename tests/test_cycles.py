@@ -1,8 +1,13 @@
 """The commuting cycle decomposition and its verifier."""
 
+import random
+
 import pytest
+from wordtree import is_indecomposable_over_group
 
 from dualcox import (
+    CoxeterDescriptor,
+    CoxeterSystem,
     NotQuasiCoxeterError,
     all_decompositions,
     build_group,
@@ -169,6 +174,25 @@ class TestIndecomposability:
             g = build_group(name)
             for x in enumerate_group(g):
                 assert is_indecomposable(x) == is_indecomposable_brute(x)
+
+    @pytest.mark.parametrize("name", ["B4", "D4", "F4", "H3"])
+    def test_interval_search_matches_the_group_sweep(self, name):
+        g = build_group(name)
+        for x in enumerate_group(g):
+            assert is_indecomposable_brute(x) == is_indecomposable_over_group(x)
+
+    @pytest.mark.parametrize("name,size", [("H4", 6), ("E6", 3)])
+    def test_interval_search_matches_the_group_sweep_on_samples(self, name, size):
+        # a private system, so the sweep's caches go with it
+        g = CoxeterSystem(CoxeterDescriptor.parse(name))
+        rng = random.Random(7)
+        sample = [
+            element_from_simple_word(g, [rng.randrange(g.rank) for _ in range(40)])
+            for _ in range(size)
+        ]
+        answers = [is_indecomposable_over_group(x) for x in sample]
+        assert [is_indecomposable_brute(x) for x in sample] == answers
+        assert set(answers) == {True, False}
 
     def test_commuting_product_is_decomposable(self):
         g = build_group("A3")

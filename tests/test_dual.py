@@ -1,17 +1,25 @@
 """Reflection length, absolute order, reduced words, parabolic closure."""
 
 from collections import deque
+from itertools import islice
+from math import factorial
 
 import pytest
 from elimination import length_and_below, moved_space
+from wordtree import iter_reduced_by_tree
 
 from dualcox import (
+    CapExceededError,
+    CoxeterDescriptor,
+    CoxeterSystem,
     absolute_leq,
     below_reflections,
     build_group,
+    count_reduced,
     element_from_simple_word,
     enumerate_group,
     first_reduced_word,
+    interval,
     iter_reduced,
     parabolic_closure,
     reduced_expressions,
@@ -32,6 +40,10 @@ def bfs_reflection_distance(g):
                 dist[y.images] = dist[x.images] + 1
                 queue.append(y)
     return dist
+
+
+def coxeter_element(g):
+    return element_from_simple_word(g, range(g.rank))
 
 
 def d4_example():
@@ -198,3 +210,89 @@ class TestParabolicClosure:
         g = build_group("B3")
         for x in enumerate_group(g):
             assert contains_element(parabolic_closure(x), x)
+
+
+WORD_GROUPS = ["A4", "B3", "B4", "D4", "F4", "H3", "G2", "I2(7)", "B2xB2"]
+
+# (type, Coxeter number h, group order |W|), from the classical tables
+COXETER_NUMBERS = (
+    [(f"A{n}", n + 1, factorial(n + 1)) for n in range(4, 9)]
+    + [(f"B{n}", 2 * n, 2**n * factorial(n)) for n in range(4, 9)]
+    + [(f"D{n}", 2 * n - 2, 2 ** (n - 1) * factorial(n)) for n in range(4, 9)]
+    + [("F4", 12, 1152), ("H3", 10, 120), ("H4", 30, 14400),
+       ("E6", 12, 51840), ("E7", 18, 2903040)]
+)
+
+
+class TestIntervalGraph:
+    @pytest.mark.parametrize("name", WORD_GROUPS)
+    def test_listing_matches_the_word_tree(self, name):
+        # same words in the same order, with and without a letter set that
+        # leaves dead ends in the graph
+        g = build_group(name)
+        letters = frozenset(t for t in range(g.n_reflections) if t % 3 != 1)
+        for x in enumerate_group(g):
+            assert list(iter_reduced(x)) == list(iter_reduced_by_tree(x))
+            assert (list(iter_reduced(x, letters))
+                    == list(iter_reduced_by_tree(x, letters)))
+
+    @pytest.mark.parametrize("name", WORD_GROUPS)
+    def test_truncation_matches_the_word_tree(self, name):
+        g = build_group(name)
+        for x in enumerate_group(g):
+            tree = list(islice(iter_reduced_by_tree(x), 8))
+            for cap in (1, 2, 7):
+                red = reduced_expressions(x, cap)
+                assert red.words == tuple(tree[:cap])
+                assert red.truncated == (len(tree) > cap)
+
+    def test_interval_is_the_absolute_interval(self):
+        # nodes against absolute order over the whole group, distances
+        # against drops in reflection length
+        g = build_group("B3")
+        for x in enumerate_group(g):
+            got = {y.images: d for y, d in interval(x)}
+            want = {
+                u.images: reflection_length(x) - reflection_length(u)
+                for u in enumerate_group(g)
+                if absolute_leq(u, x)
+            }
+            assert got == want
+
+    @pytest.mark.parametrize("name,h,order", COXETER_NUMBERS,
+                             ids=[c[0] for c in COXETER_NUMBERS])
+    def test_count_matches_deligne_chapoton(self, name, h, order):
+        # a Coxeter element has h^n n! / |W| reduced reflection words
+        g = build_group(name)
+        n = g.rank
+        assert h**n * factorial(n) % order == 0
+        assert count_reduced(coxeter_element(g)) == h**n * factorial(n) // order
+
+    @pytest.mark.parametrize("name", ["H3", "B3", "A4", "F4"])
+    def test_count_matches_the_listing(self, name):
+        g = build_group(name)
+        for x in enumerate_group(g):
+            assert count_reduced(x) == len(list(iter_reduced(x)))
+
+    def test_cap_error_says_how_far_it_got(self):
+        g = build_group("E6")
+        c = coxeter_element(g)
+        with pytest.raises(CapExceededError,
+                           match="stopped after building 100 of them") as info:
+            count_reduced(c, cap=100)
+        assert info.value.cap == 100
+        assert len(interval(c)) == 833
+        assert count_reduced(c) == 41472
+
+    def test_clear_caches_empties_them_and_answers_stay(self):
+        g = CoxeterSystem(CoxeterDescriptor.parse("B3"))  # private caches
+        c = coxeter_element(g)
+        words = reduced_expressions(c).words
+        enumerate_group(g)
+        assert g._below_cache and g._interval_edges and g._interval_nodes
+        assert g._all_elements is not None
+        g.clear_caches()
+        assert not (g._below_cache or g._interval_edges or g._interval_nodes)
+        assert g._all_elements is None
+        assert reduced_expressions(c).words == words
+        assert count_reduced(c) == len(words) == 27

@@ -243,3 +243,10 @@ class TestMembership:
         with pytest.raises(GroupTooLargeError):
             sub.elements(cap=5)
         assert len(sub.elements(cap=6)) == 6
+
+    def test_element_cap_is_checked_on_a_cached_listing(self):
+        g = build_group("B3")  # shared: other tests may have enumerated it
+        sub = reflection_closure(g, g.simple_ids[1:])
+        assert len(sub.elements()) == 6
+        with pytest.raises(GroupTooLargeError):
+            sub.elements(cap=5)
