@@ -66,7 +66,6 @@ from .hurwitz import (
     hurwitz_orbits,
     is_parabolic_quasi_coxeter,
     is_quasi_coxeter,
-    orbit_subgroup_correspondence,
 )
 from .permmodel import (
     Permutation,

@@ -80,13 +80,15 @@ def cycle_decomposition(x: Element) -> CycleDecomposition:
     subgroup; such elements still decompose per braid orbit, see
     :func:`all_decompositions`.
     """
-    if not hurwitz.is_parabolic_quasi_coxeter(x):
+    word = dual.first_reduced_word(x)
+    generated = subgroups.reflection_closure(x.group, word)
+    # the test of hurwitz.is_parabolic_quasi_coxeter, on the word decomposed
+    if generated.refl_set != dual.below_reflections(x):
         raise NotQuasiCoxeterError(
             "not a parabolic quasi-Coxeter element; "
             "use a per-orbit decomposition instead"
         )
     closure = dual.parabolic_closure(x)
-    word = dual.first_reduced_word(x)
     return _decompose_along(x, word, closure, subgroups.full_subgroup(x.group))
 
 
@@ -179,13 +181,14 @@ def is_indecomposable(x: Element, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """Whether x admits no nontrivial commuting length-additive splitting.
 
     Parabolic quasi-Coxeter elements are indecomposable exactly when their
-    decomposition has a single factor; everything else falls back to the
-    exhaustive search.
+    decomposition has a single factor, that is when their parabolic closure
+    is irreducible: every component of the closure receives letters of a
+    reduced word.  Everything else falls back to the exhaustive search.
     """
     if x.is_identity():
         return False
     if hurwitz.is_parabolic_quasi_coxeter(x):
-        return len(cycle_decomposition(x)) == 1
+        return len(dual.parabolic_closure(x).components) == 1
     return is_indecomposable_brute(x, cap)
 
 

@@ -2,18 +2,23 @@
 
 The k-strand braid group acts on the reduced reflection words of an element
 of length k: the i-th generator replaces the adjacent pair (t_i, t_(i+1)) by
-(t_i t_(i+1) t_i, t_i), keeping the product fixed.  Orbits are computed by
-listing all reduced words and merging across single moves with a
-union-find; the forward moves alone already cover every edge because
-repeating one move returns to the start word, so its inverse is a power of
-itself.  The words come from the cached interval graph of ``dual``, so an
-element whose words were listed before is listed again without forming a
-product.
+(t_i t_(i+1) t_i, t_i), keeping the product fixed.  A move keeps the
+subgroup the letters generate, and the converse holds too: words of w that
+generate one reflection subgroup W' lie in one orbit.  Reflection length in
+W' equals length in W, as both are dim Mov(w) (Carter, *Conjugacy classes
+in the Weyl group*, 1972), so those words are reduced words of w in W',
+where w is quasi-Coxeter, and the Hurwitz action on the reduced words of a
+quasi-Coxeter element is transitive (Baumeister, Gobet, Roberts and
+Wegener, *On the Hurwitz action in finite Coxeter groups*, 2017).  The
+orbits are therefore the fibres of the map from a word to the subgroup it
+generates, and are found by closing the letter set of each listed word.
+The words come from the cached interval graph of ``dual``, so an element
+whose words were listed before is listed again without forming a product.
+The tests keep a search along single moves as the oracle, and the
+``orbit-subgroup-count`` suite counts orbits by a union-find over moves.
 
-Whether the action is transitive is detected without orbit enumeration: take
-any one reduced word and test whether the reflections in it generate a
-parabolic subgroup.  The equivalence of the two routes is swept exhaustively
-in the test suite rather than assumed.
+Whether the action is transitive is read off one reduced word: the subgroup
+it generates is parabolic exactly when it is the parabolic closure of w.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 from . import dual, subgroups
 from .coxeter import Element
-from .errors import CapExceededError, InternalInvariantError
+from .errors import CapExceededError
 from .limits import DEFAULT_RED_CAP
 
 
@@ -51,9 +56,13 @@ class HurwitzOrbit:
 def hurwitz_orbits(x: Element, cap: int = DEFAULT_RED_CAP):
     """Partition of all reduced words of x into braid orbits.
 
-    Orbits are sorted by their lexicographically least member; the orbit
-    sizes add up to the number of reduced words.  If the words cannot all be
-    enumerated under the cap no partial answer is produced.
+    Each orbit is the set of words generating one reflection subgroup, by
+    Carter's length lemma and the transitivity theorem of Baumeister, Gobet,
+    Roberts and Wegener (see the module docstring).  The listing is
+    lexicographic, so every orbit's members come out sorted, its first word
+    is its representative, and the orbits come out sorted by
+    representative.  If the words cannot all be enumerated under the cap no
+    partial answer is produced.
     """
     red = dual.reduced_expressions(x, cap)
     if red.truncated:
@@ -62,65 +71,43 @@ def hurwitz_orbits(x: Element, cap: int = DEFAULT_RED_CAP):
             "raise it with --cap or DUALCOX_CAP",
             cap=cap,
         )
-    words = red.words
-    index = {w: i for i, w in enumerate(words)}
-    dsu = subgroups.DisjointSet(len(words))
-    g = x.group
-    for wi, w in enumerate(words):
-        for i in range(1, len(w)):
-            dsu.union(wi, index[hurwitz_move(g, w, i)])
-    buckets: dict[int, list] = {}
-    for wi, w in enumerate(words):
-        buckets.setdefault(dsu.find(wi), []).append(w)
-    orbits = []
-    for members in buckets.values():
-        members.sort()
-        rep = members[0]
-        orbits.append(
-            HurwitzOrbit(
-                representative=rep,
-                size=len(members),
-                members=tuple(members),
-                subgroup=subgroups.reflection_closure(g, set(rep)),
-            )
+    buckets: dict[subgroups.ReflectionSubgroup, list] = {}  # subgroup -> its words
+    bucket_of: dict[frozenset, list] = {}  # letter set -> its subgroup's words
+    for w in red.words:
+        letters = frozenset(w)
+        bucket = bucket_of.get(letters)
+        if bucket is None:
+            sub = subgroups.reflection_closure(x.group, letters)
+            bucket = bucket_of[letters] = buckets.setdefault(sub, [])
+        bucket.append(w)
+    return [
+        HurwitzOrbit(
+            representative=members[0],
+            size=len(members),
+            members=tuple(members),
+            subgroup=sub,
         )
-    orbits.sort(key=lambda o: o.representative)
-    return orbits
+        for sub, members in buckets.items()
+    ]
 
 
 def is_parabolic_quasi_coxeter(x: Element) -> bool:
     """Whether some (equivalently, by transitivity, every) reduced word of x
     generates a parabolic subgroup.
 
-    Only one reduced word is inspected; the expression independence is a
-    tested property, not an assumption baked in here.
+    The letters of a reduced word lie below x, so the subgroup they generate
+    sits inside the parabolic closure of x, and it is parabolic exactly
+    when it is that closure.  Only one reduced word is inspected; the
+    expression independence is a tested property, not an assumption baked
+    in here.
     """
     word = dual.first_reduced_word(x)
-    return subgroups.is_parabolic(
-        subgroups.reflection_closure(x.group, set(word))
-    )
+    generated = subgroups.reflection_closure(x.group, word)
+    return generated.refl_set == dual.below_reflections(x)
 
 
 def is_quasi_coxeter(x: Element) -> bool:
-    """Whether some reduced word of x generates the whole group."""
-    return (
-        dual.reflection_length(x) == x.group.rank
-        and is_parabolic_quasi_coxeter(x)
-    )
-
-
-def orbit_subgroup_correspondence(x: Element, cap: int = DEFAULT_RED_CAP):
-    """Pairs (orbit, generated subgroup); the subgroups are pairwise distinct.
-
-    Distinctness is guaranteed by the theory; a repeat would mean a bug, so
-    it is enforced here.
-    """
-    pairs = [(orbit, orbit.subgroup) for orbit in hurwitz_orbits(x, cap)]
-    seen = set()
-    for _, sub in pairs:
-        if sub.refl_set in seen:
-            raise InternalInvariantError(
-                "two distinct orbits generated the same reflection subgroup"
-            )
-        seen.add(sub.refl_set)
-    return pairs
+    """Whether some (equivalently, by transitivity, every) reduced word of x
+    generates the whole group."""
+    word = dual.first_reduced_word(x)
+    return subgroups.reflection_closure(x.group, word).is_full()

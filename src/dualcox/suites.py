@@ -256,26 +256,33 @@ def suite_b4_embedding():
 # -- orbit-subgroup-count ------------------------------------------------
 
 
+def _count_move_orbits(g, words) -> int:
+    """Braid orbits on a complete word list, by union-find over forward moves
+    (repeating a move returns to its start word, so they join whole orbits)."""
+    index = {w: i for i, w in enumerate(words)}
+    dsu = subgroups.DisjointSet(len(words))
+    for wi, w in enumerate(words):
+        for i in range(1, len(w)):
+            dsu.union(wi, index[hurwitz.hurwitz_move(g, w, i)])
+    return len({dsu.find(wi) for wi in range(len(words))})
+
+
 def suite_orbit_subgroup_count():
-    """Orbit count equals the number of subgroups where the element is quasi-Coxeter."""
+    """Orbit count equals the number of subgroups where the element is quasi-Coxeter.
+
+    The orbits are counted twice, by ``hurwitz_orbits`` and by Hurwitz moves.
+    """
     checks = []
     for name in ("A3", "B3", "G2"):
         g = build_group(name)
         subs = _all_reflection_subgroups(g)
-        closure_memo: dict[frozenset, frozenset] = {}
         bad = 0
         for x in enumerate_group(g):
             words = dual.reduced_expressions(x).words
-            word_closures = set()
-            for word in words:
-                key = frozenset(word)
-                closed = closure_memo.get(key)
-                if closed is None:
-                    closed = subgroups.reflection_closure(g, key).refl_set
-                    closure_memo[key] = closed
-                word_closures.add(closed)
+            word_closures = {subgroups.reflection_closure(g, w).refl_set for w in words}
             n_quasi = sum(1 for sub in subs if sub.refl_set in word_closures)
-            if n_quasi != len(hurwitz.hurwitz_orbits(x)):
+            n_orbits = len(hurwitz.hurwitz_orbits(x))
+            if not n_quasi == n_orbits == _count_move_orbits(g, words):
                 bad += 1
         checks.append(
             Check(

@@ -175,6 +175,17 @@ class TestIndecomposability:
             for x in enumerate_group(g):
                 assert is_indecomposable(x) == is_indecomposable_brute(x)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["A4", "B4", "D4", "F4", "H3", "G2", "I2(7)", "I2(8)",
+         "B2xB2", "A2xA2", "B3xA1", "H3xA1"],
+    )
+    def test_closure_components_match_the_factor_count(self, name):
+        g = build_group(name)
+        for x in enumerate_group(g):
+            if is_parabolic_quasi_coxeter(x) and not x.is_identity():
+                assert is_indecomposable(x) == (len(cycle_decomposition(x)) == 1)
+
     @pytest.mark.parametrize("name", ["B4", "D4", "F4", "H3"])
     def test_interval_search_matches_the_group_sweep(self, name):
         g = build_group(name)

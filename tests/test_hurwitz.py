@@ -1,19 +1,37 @@
 """Braid moves on reduced words, orbits, and the quasi-Coxeter tests."""
 
 import pytest
+from wordtree import orbits_by_moves
 
 from dualcox import (
     CapExceededError,
     build_group,
     element_from_simple_word,
     enumerate_group,
+    first_reduced_word,
     hurwitz_move,
     hurwitz_orbits,
+    is_parabolic,
     is_parabolic_quasi_coxeter,
     is_quasi_coxeter,
-    orbit_subgroup_correspondence,
     reduced_expressions,
     reflection_closure,
+    reflection_length,
+)
+
+# (group, reduced simple word) of the elements whose words the benchmark lists
+WORDS_ELEMENTS = (
+    ("A6", (0, 1, 2, 3, 4, 5)),
+    ("B5", (0, 1, 2, 3, 4)),
+    ("D5", (0, 1, 2, 3, 4)),
+    ("F4", (0, 1, 2, 3)),
+    ("H4", (0, 1, 2, 3)),
+    ("E6", (0, 1, 2, 3, 4, 5)),
+    ("B5", (0, 1, 2, 3, 4) * 5),
+    ("F4", (0, 1, 2, 3) * 6),
+    ("B4", (1, 0, 2, 1, 0, 1, 2, 3)),
+    ("G2", (0, 1, 0, 1)),
+    ("D4", (1, 2, 0, 1, 2, 3)),
 )
 
 
@@ -60,8 +78,9 @@ class TestMoves:
                 assert reflection_closure(g, set(moved)).refl_set == before
 
     def test_repeated_move_returns_to_the_start(self):
-        # so each move's inverse is a power of itself, and the union-find
-        # over forward moves alone finds whole orbits
+        # so each move's inverse is a power of itself, and the union-find of
+        # the orbit-subgroup-count suite, over forward moves alone, finds
+        # whole orbits
         g = build_group("B3")
         for word in sample_words(g):
             for i in range(1, len(word)):
@@ -145,6 +164,27 @@ class TestOrbits:
             hurwitz_orbits(w, cap=3)
 
 
+def _as_tuples(orbits):
+    return [(o.members, o.representative, o.size, o.subgroup) for o in orbits]
+
+
+class TestOrbitsAgainstMoves:
+    """Orbits keyed by generated subgroup against orbits joined by moves."""
+
+    @pytest.mark.parametrize(
+        "name", ["A4", "B3", "B4", "D4", "F4", "H3", "G2", "I2(7)", "I2(8)", "B2xB2"]
+    )
+    def test_every_element(self, name):
+        g = build_group(name)
+        for x in enumerate_group(g):
+            assert _as_tuples(hurwitz_orbits(x)) == orbits_by_moves(x)
+
+    @pytest.mark.parametrize("name,word", WORDS_ELEMENTS)
+    def test_benchmark_elements(self, name, word):
+        x = element_from_simple_word(build_group(name), word)
+        assert _as_tuples(hurwitz_orbits(x)) == orbits_by_moves(x)
+
+
 class TestQuasiCoxeter:
     def test_identity_is_parabolic_quasi_coxeter(self):
         g = build_group("B3")
@@ -170,23 +210,36 @@ class TestQuasiCoxeter:
         assert is_parabolic_quasi_coxeter(g.reflections[0])
         assert not is_quasi_coxeter(g.reflections[0])
 
+    @pytest.mark.parametrize(
+        "name",
+        ["A4", "B4", "D4", "F4", "H3", "G2", "I2(7)", "I2(8)",
+         "B2xB2", "A2xA2", "B3xA1", "H3xA1"],
+    )
+    def test_matches_the_parabolicity_of_the_word_subgroup(self, name):
+        g = build_group(name)
+        for x in enumerate_group(g):
+            word = first_reduced_word(x)
+            expected = is_parabolic(reflection_closure(g, set(word)))
+            assert is_parabolic_quasi_coxeter(x) == expected
+            full_rank = reflection_length(x) == g.rank
+            assert is_quasi_coxeter(x) == (expected and full_rank)
+
 
 class TestCorrespondence:
     def test_reflection_has_one_pair(self):
         g = build_group("A2")
-        pairs = orbit_subgroup_correspondence(g.reflections[1])
-        assert len(pairs) == 1
-        assert pairs[0][1].refl_set == {1}
+        orbits = hurwitz_orbits(g.reflections[1])
+        assert len(orbits) == 1
+        assert orbits[0].subgroup.refl_set == {1}
 
     def test_stst_has_two_distinct_subgroups(self):
         _, w = stst()
-        pairs = orbit_subgroup_correspondence(w)
-        assert len(pairs) == 2
-        assert pairs[0][1].refl_set != pairs[1][1].refl_set
+        orbits = hurwitz_orbits(w)
+        assert len(orbits) == 2
+        assert orbits[0].subgroup.refl_set != orbits[1].subgroup.refl_set
 
     def test_dihedral_rotation_orbit_count(self):
-        # rotations r^j of a dihedral group: the orbit count is gcd(j, m),
-        # checked against the subgroup correspondence
+        # rotations r^j of a dihedral group: the orbit count is gcd(j, m)
         from math import gcd
 
         g = build_group("I2(8)")

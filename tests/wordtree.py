@@ -1,11 +1,19 @@
-"""Oracles for the interval-graph code in ``dual`` and ``cycles``.
+"""Oracles for the word and orbit code in ``dual``, ``hurwitz`` and ``cycles``.
 
 Reduced words by walking the whole word tree, forming one product per tree
-node, and indecomposability by sweeping every element of the group.  They
-share only below-sets and reflection length with the code under test.
+node; Hurwitz orbits by joining the listed words across single braid moves;
+and indecomposability by sweeping every element of the group.  They share
+only below-sets, reflection length, the word listing and subgroup closure
+with the code under test.
 """
 
-from dualcox import below_reflections, enumerate_group, reflection_length
+from dualcox import (
+    below_reflections,
+    enumerate_group,
+    reduced_expressions,
+    reflection_closure,
+    reflection_length,
+)
 
 
 def iter_reduced_by_tree(x, letters=None):
@@ -42,3 +50,43 @@ def is_indecomposable_over_group(x):
         if u * x == x * u:
             return False
     return True
+
+
+def orbits_by_moves(x):
+    """Braid orbits of x as (members, representative, size, subgroup) tuples.
+
+    Each orbit is searched from its least unvisited word along forward and
+    inverse moves, (a, b) -> (a b a, a) and (a, b) -> (b, b a b); members
+    are sorted, orbits come in order of their least member, and the
+    subgroup is the closure of the representative's letters.
+    """
+    g = x.group
+
+    def conj(a, b):  # index of the reflection a b a
+        return g.reflections[a].images[b] >> 1
+
+    red = reduced_expressions(x, cap=10**6)
+    assert not red.truncated
+    words = red.words
+    seen = set()
+    orbits = []
+    for start in sorted(words):
+        if start in seen:
+            continue
+        seen.add(start)
+        members, queue = [start], [start]
+        while queue:
+            w = queue.pop()
+            for p in range(len(w) - 1):
+                a, b = w[p], w[p + 1]
+                for pair in ((conj(a, b), a), (b, conj(b, a))):
+                    moved = w[:p] + pair + w[p + 2:]
+                    if moved not in seen:
+                        seen.add(moved)
+                        members.append(moved)
+                        queue.append(moved)
+        members.sort()
+        rep = members[0]
+        subgroup = reflection_closure(g, set(rep))
+        orbits.append((tuple(members), rep, len(members), subgroup))
+    return orbits
