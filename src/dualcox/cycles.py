@@ -23,7 +23,7 @@ from functools import reduce
 
 from . import dual, hurwitz, subgroups
 from .coxeter import Element
-from .errors import NotQuasiCoxeterError
+from .errors import MixedGroupsError, NotQuasiCoxeterError
 from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP
 
 
@@ -99,12 +99,16 @@ def decomposition_in_subgroup(x: Element,
     Requires x to be quasi-Coxeter in ``amb``: some reduced word of x over
     the reflections of ``amb`` must generate all of ``amb``.  Reflection
     lengths inside the subgroup agree with those in the full group, so the
-    word can be found greedily over the restricted letter set.
+    word can be found greedily over the restricted letter set; the walk gets
+    stuck exactly when x lies outside the subgroup.
     """
-    if not subgroups.contains_element(amb, x):
-        raise NotQuasiCoxeterError("element is not quasi-Coxeter in the given subgroup")
-    word = dual.first_reduced_word(x, letters=amb.refl_set)
-    if subgroups.reflection_closure(x.group, set(word)).refl_set != amb.refl_set:
+    if x.group is not amb.ambient:
+        raise MixedGroupsError("element belongs to a different ambient group")
+    try:
+        word = dual.first_reduced_word(x, letters=amb.refl_set)
+    except ValueError:
+        word = None
+    if word is None or subgroups.reflection_closure(x.group, word) != amb:
         raise NotQuasiCoxeterError("element is not quasi-Coxeter in the given subgroup")
     return _decompose_along(x, word, amb, amb)
 

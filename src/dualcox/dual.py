@@ -118,9 +118,10 @@ def below_reflections(x: Element) -> frozenset:
 def first_reduced_word(x: Element, letters=None) -> tuple:
     """Lexicographically least reduced reflection word for x.
 
-    With ``letters`` given, only those reflection indices may be used; the
-    set must be the full reflection set of a subgroup containing x, which
-    guarantees the greedy walk never gets stuck.
+    With ``letters`` given, only those reflection indices may be used.  When
+    they are the reflections of a subgroup, the walk gets stuck, raising
+    ValueError, exactly when x lies outside that subgroup; the membership
+    test of ``subgroups.contains_element`` relies on this.
     """
     word = []
     y = x

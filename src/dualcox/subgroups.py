@@ -2,24 +2,26 @@
 
 A reflection subgroup is stored as its set of reflection indices, closed
 under conjugation by its own members (that closure equals the set of all
-reflections lying in the subgroup; the test suite checks this against brute
-force enumeration at small scale).  The canonical Coxeter generators are the
+reflections lying in the subgroup; the test suite checks this against
+listed elements at small scale).  The canonical Coxeter generators are the
 members with exactly one inversion inside the set, and the irreducible
-components are the connected components of their Coxeter diagram.
+components are the connected components of their Coxeter diagram, each
+named by its rank and number of reflections.
 
-Subgroups of one ambient group are interned by reflection set, so caches
-(element sets, parabolicity) are shared.  Parabolicity and membership in a
-parabolic subgroup are read off below-sets in absolute order (see ``dual``).
+Subgroups of one ambient group are interned by reflection set, so the
+parabolicity flag is computed once.  Parabolicity and membership are read off
+below-sets in absolute order (see ``dual``); no subgroup lists its elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import dual
-from .coxeter import CoxeterSystem, Element, cayley_bfs, element_from_refl_word
-from .errors import GroupTooLargeError, InternalInvariantError, MixedGroupsError
-from .limits import DEFAULT_ENUM_CAP
+from . import dual, rootdata
+from .coxeter import (
+    _FAMILY_BOUNDS, CoxeterDescriptor, CoxeterSystem, Element, element_from_refl_word,
+)
+from .errors import InternalInvariantError, MixedGroupsError
 
 
 @dataclass(frozen=True)
@@ -29,13 +31,6 @@ class SubgroupComponent:
     gens: tuple
     reflections: frozenset
     label: str
-
-
-def _label_key(label: str):
-    """Sort key matching the descriptor normalization: family letter, then rank."""
-    if label.startswith("I2("):
-        return ("I", int(label[3:-1]))
-    return (label[0], int(label[1:]))
 
 
 class DisjointSet:
@@ -66,7 +61,6 @@ class ReflectionSubgroup:
         "canonical_gens",
         "components",
         "rank",
-        "_elements",
         "_parabolic",
     )
 
@@ -76,7 +70,6 @@ class ReflectionSubgroup:
         self.canonical_gens = canonical_generators(ambient, refl_set)
         self.components = _split_components(ambient, self.canonical_gens, refl_set)
         self.rank = len(self.canonical_gens)
-        self._elements = None
         self._parabolic = None
 
     @property
@@ -84,7 +77,8 @@ class ReflectionSubgroup:
         """Product of the component type labels, e.g. ``B2xB2``; ``1`` if trivial."""
         if not self.components:
             return "1"
-        return "x".join(sorted((c.label for c in self.components), key=_label_key))
+        kinds = sorted(CoxeterDescriptor.parse(c.label) for c in self.components)
+        return "x".join(map(str, kinds))
 
     def is_full(self) -> bool:
         return len(self.refl_set) == self.ambient.n_reflections
@@ -101,20 +95,6 @@ class ReflectionSubgroup:
 
     def __repr__(self):
         return f"<{self.type_string} subgroup of {self.ambient.type_string}>"
-
-    def elements(self, cap: int = DEFAULT_ENUM_CAP) -> frozenset:
-        """All elements of the subgroup, by BFS over the canonical generators."""
-        if self._elements is None:
-            g = self.ambient
-            gens = [g.reflections[t] for t in sorted(self.canonical_gens)]
-            self._elements = frozenset(x for x, _ in cayley_bfs(g, gens, cap))
-        elif len(self._elements) > cap:
-            raise GroupTooLargeError(
-                f"subgroup {self.type_string} has {len(self._elements)} "
-                f"elements, above the cap of {cap}",
-                cap=cap,
-            )
-        return self._elements
 
 
 def _close_under_conjugation(g: CoxeterSystem, gens) -> frozenset:
@@ -164,68 +144,28 @@ def _diagram_edges(g: CoxeterSystem, gens: list) -> dict:
     return edges
 
 
-def _classify_diagram(gens: list, edges: dict) -> str:
-    """Finite type label of a connected labeled Coxeter diagram."""
-    rank = len(gens)
-    if rank == 1:
-        return "A1"
-    neighbours = {a: [] for a in gens}
-    for (a, b), m in edges.items():
-        neighbours[a].append((b, m))
-        neighbours[b].append((a, m))
-    degrees = {a: len(n) for a, n in neighbours.items()}
-    if max(degrees.values()) <= 2:
-        # path: read the edge labels from one endpoint
-        ends = [a for a in gens if degrees[a] == 1]
-        if len(ends) != 2:
-            raise InternalInvariantError("connected diagram without two path ends")
-        labels = []
-        prev, cur = None, min(ends)
-        while True:
-            nxt = [(b, m) for b, m in neighbours[cur] if b != prev]
-            if not nxt:
-                break
-            (b, m) = nxt[0]
-            labels.append(m)
-            prev, cur = cur, b
-        rev = labels[::-1]
-        labels = min(labels, rev)
-        if rank == 2:
-            m = labels[0]
-            return {3: "A2", 4: "B2", 6: "G2"}.get(m, f"I2({m})")
-        if all(m == 3 for m in labels):
-            return f"A{rank}"
-        if labels == sorted(labels) and labels[:-1] == [3] * (rank - 2):
-            if labels[-1] == 4:
-                return f"B{rank}"
-            if labels[-1] == 5 and rank in (3, 4):
-                return f"H{rank}"
-        if rank == 4 and labels == [3, 4, 3]:
-            return "F4"
-        raise InternalInvariantError(f"unrecognized path diagram labels {labels}")
-    # branched: a single degree-3 node with all bonds simple
-    if any(m != 3 for m in edges.values()):
-        raise InternalInvariantError("branched diagram with a labeled bond")
-    forks = [a for a in gens if degrees[a] == 3]
-    if len(forks) != 1 or max(degrees.values()) > 3:
-        raise InternalInvariantError("diagram branches more than once")
-    fork = forks[0]
-    arms = []
-    for b, _ in neighbours[fork]:
-        length, prev, cur = 1, fork, b
-        while True:
-            nxt = [c for c, _ in neighbours[cur] if c != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return f"D{rank}"
-    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-        return f"E{rank}"
-    raise InternalInvariantError(f"unrecognized branched diagram with arms {arms}")
+def _component_label(rank: int, n_refl: int, bonds: set) -> str:
+    """Type of an irreducible component from its rank and reflection count.
+
+    Rank 2 with m reflections is I2(m).  Every other rank has one classical
+    family with that many reflections, except that B6 and E6 both have 36;
+    only B6 has a bond of order 4.
+    """
+    if rank == 2:
+        return str(CoxeterDescriptor.parse(f"I2({n_refl})"))
+    fits = [
+        f"{family}{rank}"
+        for family, (lo, hi) in _FAMILY_BOUNDS.items()
+        if family != "I" and lo <= rank <= (hi or rank)
+        and rootdata.component_root_count(family, rank) == n_refl
+    ]
+    if fits == ["B6", "E6"]:
+        fits = ["B6" if 4 in bonds else "E6"]
+    if len(fits) != 1:
+        raise InternalInvariantError(
+            f"no single finite type of rank {rank} has {n_refl} reflections"
+        )
+    return fits[0]
 
 
 def _split_components(g: CoxeterSystem, gens: frozenset, refl_set: frozenset):
@@ -258,10 +198,8 @@ def _split_components(g: CoxeterSystem, gens: frozenset, refl_set: frozenset):
                 "component reflections overlap or escape the subgroup"
             )
         assigned |= block_refl
-        block_edges = {
-            e: m for e, m in edges.items() if e[0] in block_gens
-        }
-        label = _classify_diagram(list(block_gens), block_edges)
+        bonds = {m for (a, _), m in edges.items() if a in block_gens}
+        label = _component_label(len(block_gens), len(block_refl), bonds)
         components.append(SubgroupComponent(block_gens, block_refl, label))
     if assigned != refl_set:
         raise InternalInvariantError("some reflection lies in no component")
@@ -309,16 +247,20 @@ def is_parabolic(sub: ReflectionSubgroup) -> bool:
     return sub._parabolic
 
 
-def contains_element(sub: ReflectionSubgroup, x: Element,
-                     cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Exact membership test.
+def contains_element(sub: ReflectionSubgroup, x: Element) -> bool:
+    """Exact membership test: a greedy walk over the subgroup's reflections.
 
-    A parabolic subgroup contains x exactly when it contains the parabolic
-    closure of x, that is every reflection below x; other subgroups are
-    enumerated (and cached) up to the cap.
+    Reflection length inside a reflection subgroup W' equals length in W
+    (Carter, *Conjugacy classes in the Weyl group*, 1972), so every y != 1
+    of W' has a reflection of W' below it, and t y lies in W' exactly when
+    y does.  The walk of ``dual.first_reduced_word`` over the reflections of
+    W' therefore reaches the identity exactly when x lies in W', and gets
+    stuck otherwise.
     """
     if x.group is not sub.ambient:
         raise MixedGroupsError("element belongs to a different ambient group")
-    if is_parabolic(sub):
-        return dual.below_reflections(x) <= sub.refl_set
-    return x in sub.elements(cap)
+    try:
+        dual.first_reduced_word(x, letters=sub.refl_set)
+    except ValueError:
+        return False
+    return True

@@ -18,7 +18,6 @@ from dualcox import (
     element_from_refl_word,
     element_from_simple_word,
     enumerate_group,
-    reflection_closure,
 )
 from dualcox import coxeter, full_subgroup
 from dualcox.algebra import Scalar, vec_dot
@@ -280,7 +279,7 @@ class TestDihedralModel:
         linear = {
             3: enumerate_group(build_group("A2")),
             4: enumerate_group(build_group("B2")),
-            5: reflection_closure(h3, h3.simple_ids[:2]).elements(),
+            5: [x for x, _ in coxeter.cayley_bfs(h3, h3.simple[:2])],
             6: enumerate_group(build_group("G2")),
         }
         for m, elements in linear.items():

@@ -1,24 +1,35 @@
 """Reflection subgroup closure, canonical generators, components, parabolicity."""
 
+import random
+import time
 from itertools import combinations
 
 import pytest
+from diagrams import classify_diagram, label_key
 from elimination import all_reflection_subgroups, is_parabolic_by_fixed_space
 
 from dualcox import (
-    CoxeterDescriptor,
-    CoxeterSystem,
-    GroupTooLargeError,
+    InternalInvariantError,
     MixedGroupsError,
+    NotQuasiCoxeterError,
     build_group,
     canonical_generators,
     contains_element,
+    decomposition_in_subgroup,
+    element_from_simple_word,
     enumerate_group,
     full_subgroup,
     is_parabolic,
     iter_reduced,
     reflection_closure,
+    subgroups,
 )
+from dualcox.coxeter import cayley_bfs
+
+
+def listed(g, gens) -> set:
+    """Elements of the subgroup generated by the given reflection indices."""
+    return {x for x, _ in cayley_bfs(g, [g.reflections[t] for t in gens])}
 
 
 def g2_sub_indices():
@@ -61,14 +72,14 @@ class TestClosure:
 
     def test_closure_matches_brute_force_membership(self):
         # pairwise-conjugation closure equals the reflections that lie in the
-        # subgroup generated, by brute force enumeration, over every subset
+        # subgroup generated, listed from the given generators, over every subset
         for name in ("A3", "B3", "G2"):
             g = build_group(name)
             reflections = list(range(g.n_reflections))
             for size in range(g.n_reflections + 1):
                 for gens in combinations(reflections, size):
                     sub = reflection_closure(g, gens)
-                    members = sub.elements()
+                    members = listed(g, gens)
                     brute = {
                         t for t in reflections if g.reflections[t] in members
                     }
@@ -212,7 +223,7 @@ class TestMembership:
         g = build_group("A3")
         sub = reflection_closure(g, {g.simple_ids[0], g.simple_ids[2]})
         assert is_parabolic(sub)
-        members = sub.elements()
+        members = listed(g, {g.simple_ids[0], g.simple_ids[2]})
         for x in enumerate_group(g):
             assert contains_element(sub, x) == (x in members)
 
@@ -222,9 +233,42 @@ class TestMembership:
         for sub in all_reflection_subgroups(g):
             if not is_parabolic(sub):
                 continue
-            members = sub.elements()
+            members = listed(g, sub.refl_set)
             for x in elements:
                 assert contains_element(sub, x) == (x in members)
+
+    @pytest.mark.parametrize("name", ["B3", "G2", "B2xB2", "I2(8)", "A2xA1"])
+    def test_every_reflection_subgroup_agrees_with_a_listing(self, name):
+        g = build_group(name)
+        elements = enumerate_group(g)
+        subs = all_reflection_subgroups(g)
+        # all of them parabolic only in type A
+        assert any(not is_parabolic(sub) for sub in subs) == (name != "A2xA1")
+        for sub in subs:
+            members = listed(g, sub.refl_set)
+            assert [contains_element(sub, x) for x in elements] == [
+                x in members for x in elements
+            ]
+
+    def test_d8_inside_e8_answers_without_listing(self):
+        # the D8 of the integer roots of E8 holds w0 = -1 but not the Coxeter
+        # element; it has 2^7 8! elements, far above the enumeration cap
+        g = build_group("E8")
+        integral = {
+            t for t, root in enumerate(g.roots)
+            if all(c.a.denominator == 1 for c in root)
+        }
+        d8 = reflection_closure(g, integral)
+        assert d8.type_string == "D8" and not is_parabolic(d8)
+        coxeter_element = element_from_simple_word(g, range(8))
+        w0 = element_from_simple_word(g, list(range(8)) * 15)  # c^(h/2), h = 30
+        start = time.perf_counter()
+        assert contains_element(d8, w0)
+        assert not contains_element(d8, coxeter_element)
+        for x in (w0, coxeter_element):
+            with pytest.raises(NotQuasiCoxeterError):
+                decomposition_in_subgroup(x, d8)
+        assert time.perf_counter() - start < 1.0
 
     def test_mixed_ambient_rejected(self):
         a3, b2 = build_group("A3"), build_group("B2")
@@ -236,17 +280,52 @@ class TestMembership:
         g, s, t, tst, sts = g2_sub_indices()
         assert reflection_closure(g, {s, tst}) == reflection_closure(g, {tst, s})
 
-    def test_element_enumeration_cap(self):
-        # a private system, so no other test has enumerated this subgroup yet
-        g = CoxeterSystem(CoxeterDescriptor.parse("B3"))
-        sub = reflection_closure(g, g.simple_ids[1:])  # type A2, six elements
-        with pytest.raises(GroupTooLargeError):
-            sub.elements(cap=5)
-        assert len(sub.elements(cap=6)) == 6
 
-    def test_element_cap_is_checked_on_a_cached_listing(self):
-        g = build_group("B3")  # shared: other tests may have enumerated it
-        sub = reflection_closure(g, g.simple_ids[1:])
-        assert len(sub.elements()) == 6
-        with pytest.raises(GroupTooLargeError):
-            sub.elements(cap=5)
+def letter_sets(g, count, seed):
+    """Seeded random sets of 1 to rank + 1 reflection indices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(1, min(g.rank + 1, g.n_reflections))
+        yield rng.sample(range(g.n_reflections), size)
+
+
+def walked_type(sub) -> str:
+    """The type string of the diagram walker, component by component."""
+    labels = []
+    for c in sub.components:
+        edges = subgroups._diagram_edges(sub.ambient, list(c.gens))
+        labels.append(classify_diagram(list(c.gens), edges))
+    assert [c.label for c in sub.components] == labels
+    return "x".join(sorted(labels, key=label_key)) or "1"
+
+
+class TestComponentTypes:
+    @pytest.mark.parametrize(
+        "name",
+        ["B3", "G2", "B2xB2", "I2(8)", "A2xA1", "B6", "E6", "I2(7)"],
+    )
+    def test_labels_match_the_diagram_walker(self, name):
+        g = build_group(name)
+        seen = set()
+        for letters in letter_sets(g, 400, seed=sum(map(ord, name))):
+            sub = reflection_closure(g, letters)
+            assert sub.type_string == walked_type(sub)
+            seen.update(c.label for c in sub.components)
+        # B6 and E6 both have 36 reflections: the closures must reach the tie
+        assert name not in ("B6", "E6") or name in seen
+
+    @pytest.mark.parametrize(
+        "name",
+        ["A1", "A5", "A7", "B4", "B8", "D4", "D8", "E6", "E7", "E8", "F4",
+         "G2", "H3", "H4", "I2(5)", "I2(8)", "H3xA1", "B3xA2", "B6xE6"],
+    )
+    def test_full_groups_are_named_as_their_descriptor(self, name):
+        g = build_group(name)
+        sub = full_subgroup(g)
+        assert sub.type_string == walked_type(sub) == g.type_string
+
+    def test_counts_that_fit_no_type_are_an_invariant_violation(self):
+        # no rank-3 family has 7 reflections, rank 5 has A5 and D5 at 15, 20
+        for rank, n_refl in ((3, 7), (5, 16), (6, 37)):
+            with pytest.raises(InternalInvariantError):
+                subgroups._component_label(rank, n_refl, set())
