@@ -66,6 +66,7 @@ from .hurwitz import (
     hurwitz_orbits,
     is_parabolic_quasi_coxeter,
     is_quasi_coxeter,
+    orbit_search,
 )
 from .permmodel import (
     Permutation,

@@ -284,7 +284,10 @@ def _cmd_reds(args):
 def _cmd_orbits(args):
     g = build_group(args.group)
     x = _element_from_args(g, args)
-    orbits = hurwitz.hurwitz_orbits(x, cap=args.red_cap)
+    if args.dot:
+        orbits = hurwitz.hurwitz_orbits(x, cap=args.red_cap)
+    else:
+        orbits = hurwitz.orbit_search(x, cap=args.enum_cap)
     doc = {
         "element": _element_json(x),
         "n_reds": sum(o.size for o in orbits),
@@ -312,7 +315,7 @@ def _cmd_cycledec(args):
     g = build_group(args.group)
     x = _element_from_args(g, args)
     if args.all_orbits:
-        report = cycles.all_decompositions(x, cap=args.red_cap)
+        report = cycles.all_decompositions(x, cap=args.enum_cap)
         doc = {
             "element": _element_json(x),
             "entries": [

@@ -386,6 +386,7 @@ class CoxeterSystem:
         self._below_cache = {}
         self._interval_edges = {}
         self._interval_nodes = {}
+        self._closed_sets = {}
         self._all_elements = None
         self._subgroup_registry = {}
 
@@ -512,13 +513,15 @@ class CoxeterSystem:
         return tuple(self.roots[k] for k in self.simple_ids)
 
     def clear_caches(self):
-        """Drop the below-sets, the interval graph and the element listing.
+        """Drop the below-sets, the interval graph, the interned closed
+        reflection sets with their joins, and the element listing.
 
         They are rebuilt on demand; interned subgroups are kept.
         """
         self._below_cache.clear()
         self._interval_edges.clear()
         self._interval_nodes.clear()
+        self._closed_sets.clear()
         self._all_elements = None
 
     def reflection_index(self, x: Element) -> int | None:
@@ -595,7 +598,8 @@ def cayley_bfs(g: CoxeterSystem, gens, cap: int = DEFAULT_ENUM_CAP) -> list:
         lambda x: map(x.__mul__, gens),
         cap,
         lambda built, d: GroupTooLargeError(
-            f"{g.type_string} is too large for exhaustive mode (cap {cap})",
+            f"{g.type_string} is too large for exhaustive mode (cap {cap}); "
+            f"stopped after reaching {built} elements, at distance {d}",
             cap=cap,
         ),
     )

@@ -12,7 +12,8 @@ chosen word (a property the test suite sweeps exhaustively).
 
 Elements without that parabolicity still decompose inside the subgroup
 generated by any one braid orbit of their reduced words, one decomposition
-per orbit.
+per orbit.  The orbits come from ``hurwitz.orbit_search``, which lists no
+word.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import reduce
 from . import dual, hurwitz, subgroups
 from .coxeter import Element
 from .errors import MixedGroupsError, NotQuasiCoxeterError
-from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP
+from .limits import DEFAULT_ENUM_CAP
 
 
 @dataclass(frozen=True)
@@ -125,14 +126,16 @@ class AllDecompositions:
     closure_sets_distinct: bool
 
 
-def all_decompositions(x: Element, cap: int = DEFAULT_RED_CAP) -> AllDecompositions:
+def all_decompositions(x: Element, cap: int = DEFAULT_ENUM_CAP) -> AllDecompositions:
     """The decomposition of x inside every braid-orbit subgroup.
 
-    Distinct orbits can repeat the same factor list while their component
-    subgroups differ; the report records where that happens.
+    Each orbit's representative is split along its subgroup.  Distinct
+    orbits can repeat the same factor list while their component subgroups
+    differ; the report records where that happens.  ``cap`` bounds the
+    states on one level of the orbit search.
     """
     entries = []
-    for orbit in hurwitz.hurwitz_orbits(x, cap):
+    for orbit in hurwitz.orbit_search(x, cap):
         amb = orbit.subgroup
         dec = _decompose_along(x, orbit.representative, amb, amb)
         entries.append((orbit, dec))

@@ -11,10 +11,12 @@ where w is quasi-Coxeter, and the Hurwitz action on the reduced words of a
 quasi-Coxeter element is transitive (Baumeister, Gobet, Roberts and
 Wegener, *On the Hurwitz action in finite Coxeter groups*, 2017).  The
 orbits are therefore the fibres of the map from a word to the subgroup it
-generates, and are found by closing the letter set of each listed word.
-The words come from the cached interval graph of ``dual``, so an element
-whose words were listed before is listed again without forming a product.
-The tests keep a search along single moves as the oracle, and the
+generates.  They are found without listing a word, by one walk down the
+cached interval graph of ``dual`` that carries, along with each element,
+the closed reflection set its letters so far generate, and counts the paths
+into each final set; ``hurwitz_orbits`` then lists each orbit's words over
+its subgroup's letters.  The tests keep a search along single moves and the
+bucketing of listed words by their letter sets as oracles, and the
 ``orbit-subgroup-count`` suite counts orbits by a union-find over moves.
 
 Whether the action is transitive is read off one reduced word: the subgroup
@@ -23,12 +25,12 @@ it generates is parabolic exactly when it is the parabolic closure of w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import dual, subgroups
 from .coxeter import Element
 from .errors import CapExceededError
-from .limits import DEFAULT_RED_CAP
+from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP
 
 
 def hurwitz_move(g, word, i: int):
@@ -45,50 +47,73 @@ def hurwitz_move(g, word, i: int):
 
 @dataclass(frozen=True)
 class HurwitzOrbit:
-    """One orbit on the reduced words: members, representative, generated subgroup."""
+    """One orbit on the reduced words: representative, size, generated subgroup.
+
+    ``members`` is None when the orbit was found without listing its words.
+    """
 
     representative: tuple
     size: int
-    members: tuple
+    members: tuple | None
     subgroup: subgroups.ReflectionSubgroup
+
+
+def orbit_search(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
+    """Every orbit of x, sorted by representative, found without listing a word.
+
+    A walk down the interval graph of ``dual``, one level at a time, over
+    states (y, S) with their numbers of paths: S is the closed reflection set
+    generated by the letters read from x to y, and the edge (t, t y) leads on
+    to (t y, S joined with t).  The paths into (1, S) are the words
+    generating S, one orbit (see the module docstring), whose representative
+    is the least word of x over S.  A level holds no more states than x has
+    words; CapExceededError is raised when one would hold more than ``cap``.
+    """
+    g = x.group
+    length = dual.reflection_length(x)
+    level = [(x, {frozenset(): 1})]
+    built = 1
+    for depth in range(1, length + 1):
+        below, above = {}, built  # id of an interned node -> (node, {S: paths})
+        for y, paths in level:
+            edges = dual._edges(y)
+            for closed, n in paths.items():
+                for t, z in edges:
+                    joined = subgroups.join(g, closed, t)
+                    counts = below.setdefault(id(z), (z, {}))[1]
+                    if joined not in counts:
+                        if built - above >= cap:
+                            raise CapExceededError(
+                                f"the Hurwitz orbit search in {g.type_string} has "
+                                f"more than {cap} states on level {depth} of {length}; "
+                                f"stopped after building {built} states; raise the "
+                                "cap with --cap or DUALCOX_CAP", cap=cap)
+                        counts[joined] = 0
+                        built += 1
+                    counts[joined] += n
+        level = below.values()
+    (_, ends), = level  # every path ends at the identity
+    orbits = (HurwitzOrbit(dual.first_reduced_word(x, letters=S), n, None,
+                           subgroups._get_subgroup(g, S)) for S, n in ends.items())
+    return sorted(orbits, key=lambda orbit: orbit.representative)
 
 
 def hurwitz_orbits(x: Element, cap: int = DEFAULT_RED_CAP):
     """Partition of all reduced words of x into braid orbits.
 
-    Each orbit is the set of words generating one reflection subgroup, by
-    Carter's length lemma and the transitivity theorem of Baumeister, Gobet,
-    Roberts and Wegener (see the module docstring).  The listing is
-    lexicographic, so every orbit's members come out sorted, its first word
-    is its representative, and the orbits come out sorted by
-    representative.  If the words cannot all be enumerated under the cap no
-    partial answer is produced.
+    The orbits of :func:`orbit_search`, under the same ``cap``, each with its
+    members: the words of x over its subgroup's letters, listed in
+    lexicographic order.  When x has more than ``cap`` words the error names
+    their number, and no word is listed.
     """
-    red = dual.reduced_expressions(x, cap)
-    if red.truncated:
-        raise CapExceededError(
-            f"reduced-word enumeration exceeded the cap of {cap}; "
-            "raise it with --cap or DUALCOX_CAP",
-            cap=cap,
-        )
-    buckets: dict[subgroups.ReflectionSubgroup, list] = {}  # subgroup -> its words
-    bucket_of: dict[frozenset, list] = {}  # letter set -> its subgroup's words
-    for w in red.words:
-        letters = frozenset(w)
-        bucket = bucket_of.get(letters)
-        if bucket is None:
-            sub = subgroups.reflection_closure(x.group, letters)
-            bucket = bucket_of[letters] = buckets.setdefault(sub, [])
-        bucket.append(w)
-    return [
-        HurwitzOrbit(
-            representative=members[0],
-            size=len(members),
-            members=tuple(members),
-            subgroup=sub,
-        )
-        for sub, members in buckets.items()
-    ]
+    orbits = orbit_search(x, cap)
+    total = sum(orbit.size for orbit in orbits)
+    if total > cap:
+        raise CapExceededError(f"the element has {total} reduced words, above the cap "
+                               f"of {cap}; raise it with --cap or DUALCOX_CAP", cap=cap)
+    return [replace(orbit, members=tuple(
+                dual.iter_reduced(x, letters=orbit.subgroup.refl_set)))
+            for orbit in orbits]
 
 
 def is_parabolic_quasi_coxeter(x: Element) -> bool:

@@ -6,7 +6,9 @@ defaults, in that order.  The other verbs take no cap: verification suites
 are fixed sweeps, and the rest enumerate nothing.  Library calls take
 explicit cap arguments with these as defaults.  The element cap also bounds
 the absolute interval [1, w] that ``reds --count`` and the exhaustive
-indecomposability check walk.
+indecomposability check walk, and each level of the orbit search behind
+``orbits`` and ``cycledec --all-orbits``; ``orbits --dot`` lists every word
+and keeps the word cap.
 
 Construction is limited by the number N of positive roots, because every
 group stores an N x N table of reflection images.

@@ -117,6 +117,23 @@ def _close_under_conjugation(g: CoxeterSystem, gens) -> frozenset:
     return frozenset(closed)
 
 
+def join(g: CoxeterSystem, closed: frozenset, t: int) -> frozenset:
+    """Closed reflection set generated by a closed set and one more reflection.
+
+    Closed sets are interned per group, each with the few reflections that
+    generated it, so a join closes those and t; joins are memoised on the
+    stored set, and ``clear_caches`` drops both.
+    """
+    sets = g._closed_sets
+    entry = sets.get(closed) or sets.setdefault(closed, (closed, tuple(closed), {}))
+    _, gens, joins = entry
+    joined = joins.get(t)
+    if joined is None:
+        new = closed if t in closed else _close_under_conjugation(g, gens + (t,))
+        joined = joins[t] = sets.setdefault(new, (new, gens + (t,), {}))[0]
+    return joined
+
+
 def canonical_generators(g: CoxeterSystem, refl_set) -> frozenset:
     """Members of a closed reflection set with exactly one inversion inside it.
 

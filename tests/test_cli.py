@@ -105,6 +105,26 @@ class TestElementVerbs:
         assert cli.run(argv) == 1
         assert "stopped after building 10 of them" in capsys.readouterr().err
 
+    def test_orbits_of_the_e7_coxeter_element(self, capsys):
+        # one orbit of 18^7 7! / |E7| words, found without listing them
+        assert cli.run(["orbits", "E7", "-w", "0 1 2 3 4 5 6"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("1 orbit(s) on 1062882 reduced words\n")
+
+    def test_orbit_caps(self, capsys, tmp_path):
+        # the element cap bounds the search states, the word cap the DOT listing
+        argv = ["orbits", "E6", "-w", "0 1 2 3 4 5", "--cap", "100"]
+        assert cli.run(argv) == 1
+        assert "more than 100 states on level 2 of 6" in capsys.readouterr().err
+        argv = ["cycledec", "E6", "-w", "0 1 2 3 4 5", "--all-orbits", "--cap", "100"]
+        assert cli.run(argv) == 1
+        assert "more than 100 states on level 2 of 6" in capsys.readouterr().err
+        argv = ["orbits", "E6", "-w", "0 1 2 3 4 5", "--cap", "1000"]
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out.startswith("1 orbit(s) on 41472 reduced words")
+        assert cli.run(argv + ["--dot", str(tmp_path / "e6.dot")]) == 1
+        assert "has 41472 reduced words" in capsys.readouterr().err
+
     def test_orbits_verb(self, capsys, schema, tmp_path):
         dot = tmp_path / "orbits.dot"
         doc = run_json(

@@ -250,6 +250,12 @@ class TestElementOps:
         with pytest.raises(GroupTooLargeError):
             enumerate_group(build_group("A3"), cap=10)
 
+    def test_cayley_cap_error_says_how_far_it_got(self):
+        g = build_group("A3")
+        with pytest.raises(GroupTooLargeError,
+                           match="stopped after reaching 10 elements, at distance 3"):
+            coxeter.cayley_bfs(g, g.simple, cap=10)
+
     def test_cayley_distance_over_simple_generators_is_coxeter_length(self):
         g = build_group("B3")
         reached = coxeter.cayley_bfs(g, g.simple)

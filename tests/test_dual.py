@@ -19,6 +19,7 @@ from dualcox import (
     element_from_simple_word,
     enumerate_group,
     first_reduced_word,
+    hurwitz_orbits,
     interval,
     iter_reduced,
     parabolic_closure,
@@ -288,11 +289,16 @@ class TestIntervalGraph:
         g = CoxeterSystem(CoxeterDescriptor.parse("B3"))  # private caches
         c = coxeter_element(g)
         words = reduced_expressions(c).words
+        w = element_from_simple_word(g, (0, 1, 2) * 3)  # w0 = -1: several orbits
+        orbits = hurwitz_orbits(w)
         enumerate_group(g)
         assert g._below_cache and g._interval_edges and g._interval_nodes
+        assert g._closed_sets and any(joins for _, _, joins in g._closed_sets.values())
         assert g._all_elements is not None
         g.clear_caches()
         assert not (g._below_cache or g._interval_edges or g._interval_nodes)
+        assert not g._closed_sets
         assert g._all_elements is None
         assert reduced_expressions(c).words == words
         assert count_reduced(c) == len(words) == 27
+        assert hurwitz_orbits(w) == orbits and len(orbits) > 1

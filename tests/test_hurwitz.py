@@ -1,7 +1,9 @@
 """Braid moves on reduced words, orbits, and the quasi-Coxeter tests."""
 
+import random
+
 import pytest
-from wordtree import orbits_by_moves
+from wordtree import orbits_by_letter_sets, orbits_by_moves
 
 from dualcox import (
     CapExceededError,
@@ -14,6 +16,7 @@ from dualcox import (
     is_parabolic,
     is_parabolic_quasi_coxeter,
     is_quasi_coxeter,
+    orbit_search,
     reduced_expressions,
     reflection_closure,
     reflection_length,
@@ -163,9 +166,37 @@ class TestOrbits:
         with pytest.raises(CapExceededError):
             hurwitz_orbits(w, cap=3)
 
+    def test_search_cap_error_says_how_far_it_got(self):
+        c = element_from_simple_word(build_group("E6"), range(6))
+        with pytest.raises(
+            CapExceededError,
+            match=r"more than 100 states on level 2 of 6; stopped after building 137 states",
+        ) as info:
+            orbit_search(c, cap=100)
+        assert info.value.cap == 100
+
+    def test_word_cap_error_names_the_word_total(self):
+        # every level of the search fits under the cap, the words do not
+        c = element_from_simple_word(build_group("E6"), range(6))
+        with pytest.raises(CapExceededError,
+                           match="has 41472 reduced words, above the cap of 1000"):
+            hurwitz_orbits(c, cap=1000)
+
+    def test_search_lists_no_word(self):
+        _, w = stst()
+        assert [o.members for o in orbit_search(w)] == [None, None]
+
 
 def _as_tuples(orbits):
     return [(o.members, o.representative, o.size, o.subgroup) for o in orbits]
+
+
+def _searched(x):
+    return [(o.representative, o.size, o.subgroup) for o in orbit_search(x)]
+
+
+def _without_members(orbits):
+    return [(rep, size, sub) for _, rep, size, sub in orbits]
 
 
 class TestOrbitsAgainstMoves:
@@ -177,12 +208,26 @@ class TestOrbitsAgainstMoves:
     def test_every_element(self, name):
         g = build_group(name)
         for x in enumerate_group(g):
-            assert _as_tuples(hurwitz_orbits(x)) == orbits_by_moves(x)
+            by_moves = orbits_by_moves(x)
+            assert _as_tuples(hurwitz_orbits(x)) == by_moves
+            assert _searched(x) == _without_members(by_moves)
 
     @pytest.mark.parametrize("name,word", WORDS_ELEMENTS)
     def test_benchmark_elements(self, name, word):
         x = element_from_simple_word(build_group(name), word)
-        assert _as_tuples(hurwitz_orbits(x)) == orbits_by_moves(x)
+        by_moves = orbits_by_moves(x)
+        assert _as_tuples(hurwitz_orbits(x)) == by_moves
+        assert _searched(x) == _without_members(by_moves)
+
+
+@pytest.mark.parametrize("name,seed", [("E6", 1106), ("H4", 1104)])
+def test_search_against_letter_sets_on_random_elements(name, seed):
+    """The search against the bucketing of listed words, on 100 elements."""
+    g = build_group(name)
+    rng = random.Random(seed)
+    for _ in range(100):
+        x = element_from_simple_word(g, [rng.randrange(g.rank) for _ in range(40)])
+        assert _searched(x) == _without_members(orbits_by_letter_sets(x))
 
 
 class TestQuasiCoxeter:

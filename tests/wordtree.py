@@ -1,7 +1,8 @@
 """Oracles for the word and orbit code in ``dual``, ``hurwitz`` and ``cycles``.
 
 Reduced words by walking the whole word tree, forming one product per tree
-node; Hurwitz orbits by joining the listed words across single braid moves;
+node; Hurwitz orbits by joining the listed words across single braid moves,
+and by bucketing the listed words by the subgroup their letters generate;
 and indecomposability by sweeping every element of the group.  They share
 only below-sets, reflection length, the word listing and subgroup closure
 with the code under test.
@@ -90,3 +91,25 @@ def orbits_by_moves(x):
         subgroup = reflection_closure(g, set(rep))
         orbits.append((tuple(members), rep, len(members), subgroup))
     return orbits
+
+
+def orbits_by_letter_sets(x, cap=10**6):
+    """Braid orbits of x as (members, representative, size, subgroup) tuples.
+
+    The listed words are bucketed by the closure of their letter set, one
+    closure per distinct letter set; buckets come in order of their first
+    (least) word.
+    """
+    red = reduced_expressions(x, cap)
+    assert not red.truncated
+    buckets = {}  # subgroup -> its words
+    bucket_of = {}  # letter set -> its subgroup's words
+    for w in red.words:
+        letters = frozenset(w)
+        bucket = bucket_of.get(letters)
+        if bucket is None:
+            sub = reflection_closure(x.group, letters)
+            bucket = bucket_of[letters] = buckets.setdefault(sub, [])
+        bucket.append(w)
+    return [(tuple(members), members[0], len(members), sub)
+            for sub, members in buckets.items()]
