@@ -13,13 +13,16 @@ the simple roots with s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
 
 Each root is mapped once to its ambient coordinates in Q or Q(sqrt 5), and
 the roots are sorted lexicographically by them, so repeated builds index
-reflections identically.  Every element is stored as a signed permutation of
-the positive roots: ``w(alpha_i) = +-alpha_j``.  The rows of the simple
-reflections are read off the search; the reflection in any other root
-s_i(beta) is the conjugate s_i s_beta s_i, a composition of rows that needs
-no arithmetic.  The Coxeter matrix comes from the products of opposite
-Cartan entries, 4 cos^2(pi/m_ij).  Matrices in the reflection representation
-are reconstructed on demand from the root action and cached.
+reflections identically.  Every element is stored as its permutation of the
+2N signed roots, point 2j being +alpha_j and point 2j + 1 being -alpha_j, so
+a product is one C-level ``itemgetter`` over a tuple.  The rows of the
+simple reflections are read off the search; the reflection in any other
+root s_i(beta) is the conjugate s_i s_beta s_i, a composition of rows that
+needs no arithmetic, and every row picks its entries from one shared
+``tuple(range(2N))``, so a table entry costs one pointer, 8 bytes, and no
+int object of its own.  The Coxeter matrix comes from the products of
+opposite Cartan entries, 4 cos^2(pi/m_ij).  Matrices in the reflection
+representation are reconstructed on demand from the root action and cached.
 
 ``I2(m)`` for m not in {3, 4, 6} uses a combinatorial dihedral model that
 still exposes the signed action on m abstract "positive roots" (the
@@ -33,6 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from operator import attrgetter, itemgetter
 
 from . import rootdata
 from .algebra import Matrix, Scalar, invert, kernel_basis, vec_neg
@@ -141,10 +145,12 @@ def _as_descriptor(d) -> CoxeterDescriptor:
 
 
 class Element:
-    """Group element as a signed permutation of the positive roots.
+    """Group element as a permutation of the 2N signed roots.
 
-    ``images[i]`` encodes the image of root i as ``(j << 1) | neg``: the root
-    index in the high bits and the sign in the lowest bit.
+    Point 2i is the positive root i and point 2i + 1 its negative, so
+    ``images[2i]`` encodes the image of root i as ``(j << 1) | neg``, the
+    root index in the high bits and the sign in the lowest bit, and
+    ``images[2i + 1] == images[2i] ^ 1``.
     """
 
     __slots__ = ("group", "images", "_hash", "_matrix")
@@ -158,15 +164,12 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         if self.group is not other.group:
             raise MixedGroupsError("cannot multiply elements of different groups")
-        xi = self.images
-        return Element(
-            self.group, tuple(xi[e >> 1] ^ (e & 1) for e in other.images)
-        )
+        return Element(self.group, itemgetter(*other.images)(self.images))
 
     def inv(self) -> "Element":
         out = [0] * len(self.images)
-        for j, e in enumerate(self.images):
-            out[e >> 1] = (j << 1) | (e & 1)
+        for p, e in enumerate(self.images):
+            out[e] = p
         return Element(self.group, tuple(out))
 
     def order(self) -> int:
@@ -194,7 +197,7 @@ class Element:
 
     def conjugate_reflection(self, t: int) -> int:
         """Index of self * t * self^-1, read off the root action."""
-        return self.images[t] >> 1
+        return self.images[2 * t] >> 1
 
     def matrix(self) -> Matrix:
         """Exact matrix on the ambient space of the root coordinates."""
@@ -207,7 +210,7 @@ class Element:
         if self._matrix is None:
             cols = []
             for k in g.simple_ids:
-                e = self.images[k]
+                e = self.images[2 * k]
                 root = g.roots[e >> 1]
                 cols.append(vec_neg(root) if e & 1 else root)
             cols.extend(g._complement)
@@ -226,7 +229,7 @@ class Element:
         ident = g.identity
         while x != ident:
             for i, k in enumerate(g.simple_ids):
-                if x.images[k] & 1:
+                if x.images[2 * k] & 1:
                     break
             else:  # pragma: no cover - impossible for a nonidentity element
                 raise RuntimeError("nonidentity element with no descent")
@@ -269,6 +272,12 @@ def _times(c: tuple[int, int], j: int, width: int):
     else:
         rows = ([(2 * j, p), (2 * j + 1, q)], [(2 * j, q), (2 * j + 1, p + q)])
     return [[t for t in row if t[1]] for row in rows]
+
+
+def _on_signed_points(codes, points: tuple) -> tuple:
+    """Images of the 2N signed points, from the N codes of the positive
+    roots, as entries of ``points`` = ``tuple(range(2N))``."""
+    return itemgetter(*[e ^ neg for e in codes for neg in (0, 1)])(points)
 
 
 def _pairing(form):
@@ -368,13 +377,11 @@ class CoxeterSystem:
         self.n_reflections = n_roots
         self.is_linear = not descriptor.is_dihedral_model
         self.dihedral_m = None if self.is_linear else descriptor.components[0][1]
+        self.identity = Element(self, tuple(range(2 * n_roots)))
         if self.is_linear:
             self._build_linear()
         else:
             self._build_dihedral()
-        self.identity = Element(
-            self, tuple(j << 1 for j in range(self.n_reflections))
-        )
         self.reflections = tuple(
             Element(self, images) for images in self._reflection_images
         )
@@ -387,6 +394,7 @@ class CoxeterSystem:
         self._interval_edges = {}
         self._interval_nodes = {}
         self._closed_sets = {}
+        self._orbit_tables = {}
         self._all_elements = None
         self._subgroup_registry = {}
 
@@ -437,17 +445,15 @@ class CoxeterSystem:
         self.simple_ids = tuple(pos[:rank])
         self.simple_coordinates = tuple(coords[b] for b in order)
 
+        points = self.identity.images
         table = [None] * len(order)
         for i, row in enumerate(simple_rows):
-            table[pos[i]] = tuple(
-                (pos[row[b] >> 1] << 1) | (row[b] & 1) for b in order
-            )
+            codes = [(pos[row[b] >> 1] << 1) | (row[b] & 1) for b in order]
+            table[pos[i]] = _on_signed_points(codes, points)
         for b in range(rank, len(coords)):  # parents come first
             i, beta = parent[b]
             s, r = table[pos[i]], table[pos[beta]]
-            table[pos[b]] = tuple(
-                [s[f >> 1] ^ (f & 1) for f in [r[e >> 1] ^ (e & 1) for e in s]]
-            )
+            table[pos[b]] = itemgetter(*s)(itemgetter(*r)(s))  # s r s
         self._reflection_images = table
 
         zero = (0, 0)
@@ -470,6 +476,7 @@ class CoxeterSystem:
         # mirror j sits at angle j*pi/m; its root at j*pi/m + pi/2.  The
         # reflection in mirror j sends root k to the vector at (2j - k)*pi/m
         # + pi/2 - pi, i.e. root (2j - k) mod m with a sign from the wrap.
+        points = self.identity.images
         images = []
         for j in range(m):
             row = []
@@ -477,7 +484,7 @@ class CoxeterSystem:
                 kk = (2 * j - k) % m
                 q = (2 * j - k - kk) // m - 1
                 row.append((kk << 1) | (q & 1))
-            images.append(tuple(row))
+            images.append(_on_signed_points(row, points))
         self._reflection_images = images
         self.simple_ids = (0, m - 1)
         self.coxeter_matrix = ((1, m), (m, 1))
@@ -514,7 +521,8 @@ class CoxeterSystem:
 
     def clear_caches(self):
         """Drop the below-sets, the interval graph, the interned closed
-        reflection sets with their joins, and the element listing.
+        reflection sets with their joins, the orbit tables of the interval
+        nodes, and the element listing.
 
         They are rebuilt on demand; interned subgroups are kept.
         """
@@ -522,6 +530,7 @@ class CoxeterSystem:
         self._interval_edges.clear()
         self._interval_nodes.clear()
         self._closed_sets.clear()
+        self._orbit_tables.clear()
         self._all_elements = None
 
     def reflection_index(self, x: Element) -> int | None:
@@ -566,22 +575,25 @@ def element_from_refl_word(g: CoxeterSystem, word) -> Element:
     return reduce(lambda acc, t: acc * g.reflections[t], word, g.identity)
 
 
-def breadth_first(root: Element, step, cap: int, overflow) -> list:
+def breadth_first(root: Element, step, cap: int, overflow,
+                  key=attrgetter("images")) -> list:
     """(element, distance) for every element reachable from ``root``.
 
     ``step(x)`` yields the neighbours of x; the seen-set is keyed by
-    ``images``.  When a new element would make more than ``cap``,
-    ``overflow(built, distance)`` builds the error raised, from the number
-    of elements built so far and the distance being reached.
+    ``key(x)``: ``images``, or ``id`` when every element is interned.  When
+    a new element would make more than ``cap``, ``overflow(built,
+    distance)`` builds the error raised, from the number of elements built
+    so far and the distance being reached.
     """
-    seen = {root.images}
+    seen = {key(root)}
     found = [(root, 0)]
     for x, d in found:  # grows as elements are found
         for y in step(x):
-            if y.images not in seen:
+            k = key(y)
+            if k not in seen:
                 if len(seen) >= cap:
                     raise overflow(len(seen), d + 1)
-                seen.add(y.images)
+                seen.add(k)
                 found.append((y, d + 1))
     return found
 
@@ -647,7 +659,7 @@ def element_from_matrix(g: CoxeterSystem, m: Matrix) -> Element:
         images.append((k << 1) | 1)
     if len({e >> 1 for e in images}) != g.n_reflections:
         raise ValueError("matrix action on roots is not a bijection")
-    return Element(g, tuple(images))
+    return Element(g, _on_signed_points(images, g.identity.images))
 
 
 def embed_by_roots(x: Element, target: CoxeterSystem) -> Element:

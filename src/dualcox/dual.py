@@ -44,30 +44,32 @@ def _dihedral_class(x: Element) -> int:
         return 0
     m = x.group.dihedral_m
     i0 = x.images[0] >> 1
-    i1 = x.images[1] >> 1
+    i1 = x.images[2] >> 1
     return 2 if (i0 + 1) % m == i1 else 1
 
 
 def _moved_roots(x: Element) -> frozenset:
-    """Indices of the roots whose orbit under x sums to zero (linear models)."""
+    """Indices of the roots whose orbit under x sums to zero (linear models).
+
+    The orbit of root t is followed on signed points from 2t until it
+    comes back to 2t or to its negative 2t + 1.
+    """
     coords = x.group.simple_coordinates
     images = x.images
     seen = set()
     moved = set()
-    for t in range(len(images)):
+    for t in range(len(coords)):
         if t in seen:
             continue
         cycle = [t]
         total = coords[t]
-        e = images[t]
-        i, neg = e >> 1, e & 1
-        while i != t:
+        p = images[2 * t]
+        while (i := p >> 1) != t:
             cycle.append(i)
-            total = tuple(map(sub if neg else add, total, coords[i]))
-            e = images[i]
-            i, neg = e >> 1, neg ^ (e & 1)
+            total = tuple(map(sub if p & 1 else add, total, coords[i]))
+            p = images[p]
         seen.update(cycle)
-        if neg or not any(total):
+        if p & 1 or not any(total):
             moved.update(cycle)
     return frozenset(moved)
 
@@ -141,27 +143,30 @@ def _edges(y: Element) -> tuple:
     """Edges (t, t y) of the interval graph out of y, in ascending t.
 
     One product per edge, computed the first time y is expanded and cached
-    per group.  Every child is interned by ``images``, so an element reached
-    from several parents is stored once.
+    per group, keyed by the node, which hashes its ``images`` once.  Every
+    child is interned, so an element reached from several parents is
+    stored once; only the identity has no edges.
     """
     g = y.group
-    edges = g._interval_edges.get(y.images)
+    edges = g._interval_edges.get(y)
     if edges is None:
         nodes = g._interval_nodes
         refl = g.reflections
         children = ((t, refl[t] * y) for t in sorted(below_reflections(y)))
         edges = tuple((t, nodes.setdefault(z.images, z)) for t, z in children)
-        edges = g._interval_edges.setdefault(y.images, edges)
+        edges = g._interval_edges.setdefault(y, edges)
     return edges
 
 
 def interval(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
     """(y, l(x) - l(y)) for every y in the absolute interval [1, x].
 
-    Breadth-first from x along the interval graph.  Every edge lowers
-    reflection length by one, so the distance from x is the drop in length
-    and the list runs by decreasing length, down to the identity.  Raises
-    CapExceededError when [1, x] has more than ``cap`` elements.
+    Breadth-first from x along the interval graph, over nodes interned by
+    ``images``, so the seen-set is keyed by ``id``.  Every edge lowers reflection length by
+    one, so the distance from x is the drop in length and the list runs by
+    decreasing length, down to the identity.  Raises CapExceededError when
+    [1, x] has more than ``cap`` elements, however much of the graph is
+    already cached.
     """
     def overflow(built, depth):
         return CapExceededError(
@@ -172,7 +177,9 @@ def interval(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
             cap=cap,
         )
 
-    return breadth_first(x, lambda y: [z for _, z in _edges(y)], cap, overflow)
+    root = x.group._interval_nodes.setdefault(x.images, x)
+    return breadth_first(root, lambda y: [z for _, z in _edges(y)], cap, overflow,
+                         key=id)
 
 
 def count_reduced(x: Element, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -182,11 +189,12 @@ def count_reduced(x: Element, cap: int = DEFAULT_ENUM_CAP) -> int:
     summed over [1, x] from the identity up.  ``cap`` bounds the size of
     [1, x], as in :func:`interval`.
     """
-    count = {}  # by id: the nodes below x are interned
-    for y, _ in reversed(interval(x, cap)):
+    nodes = interval(x, cap)
+    count = {}  # by id: the nodes of the interval are interned
+    for y, _ in reversed(nodes):
         edges = _edges(y)
         count[id(y)] = sum(count[id(z)] for _, z in edges) if edges else 1
-    return count[id(x)]
+    return count[id(nodes[0][0])]
 
 
 def iter_reduced(x: Element, letters=None):
@@ -197,8 +205,7 @@ def iter_reduced(x: Element, letters=None):
     in the interval graph, read depth first with ascending letters, so each
     is emitted exactly once.
     """
-    ident = x.group.identity.images
-    if x.images == ident:
+    if x.is_identity():
         yield ()
         return
     word = []
@@ -207,11 +214,12 @@ def iter_reduced(x: Element, letters=None):
         for t, y in stack[-1]:
             if letters is not None and t not in letters:
                 continue
-            if y.images == ident:
-                yield (*word, t)
-            else:
+            below = _edges(y)
+            if below:
                 word.append(t)
-                stack.append(iter(_edges(y)))
+                stack.append(iter(below))
+            else:
+                yield (*word, t)
             break
         else:
             stack.pop()

@@ -11,11 +11,12 @@ where w is quasi-Coxeter, and the Hurwitz action on the reduced words of a
 quasi-Coxeter element is transitive (Baumeister, Gobet, Roberts and
 Wegener, *On the Hurwitz action in finite Coxeter groups*, 2017).  The
 orbits are therefore the fibres of the map from a word to the subgroup it
-generates.  They are found without listing a word, by one walk down the
-cached interval graph of ``dual`` that carries, along with each element,
-the closed reflection set its letters so far generate, and counts the paths
-into each final set; ``hurwitz_orbits`` then lists each orbit's words over
-its subgroup's letters.  The tests keep a search along single moves and the
+generates.  They are found without listing a word: every node y of the
+cached interval graph of ``dual`` gets a table counting its reduced words
+by the closed reflection set they generate, built from the tables of the
+nodes one step below and kept per group, so the orbits of x are read off
+its own table; ``hurwitz_orbits`` then lists each orbit's words over its
+subgroup's letters.  The tests keep a search along single moves and the
 bucketing of listed words by their letter sets as oracles, and the
 ``orbit-subgroup-count`` suite counts orbits by a union-find over moves.
 
@@ -42,7 +43,7 @@ def hurwitz_move(g, word, i: int):
         raise IndexError(f"move position {i} out of range for a word of length {len(word)}")
     p = i - 1
     a, b = word[p], word[p + 1]
-    return word[:p] + (g.reflections[a].images[b] >> 1, a) + word[p + 2 :]
+    return word[:p] + (g.reflections[a].conjugate_reflection(b), a) + word[p + 2 :]
 
 
 @dataclass(frozen=True)
@@ -61,52 +62,43 @@ class HurwitzOrbit:
 def orbit_search(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
     """Every orbit of x, sorted by representative, found without listing a word.
 
-    A walk down the interval graph of ``dual``, one level at a time, over
-    states (y, S) with their numbers of paths: S is the closed reflection set
-    generated by the letters read from x to y, and the edge (t, t y) leads on
-    to (t y, S joined with t).  The paths into (1, S) are the words
-    generating S, one orbit (see the module docstring), whose representative
-    is the least word of x over S.  A level holds no more states than x has
-    words; CapExceededError is raised when one would hold more than ``cap``.
+    The orbit table of a node y of the interval graph of ``dual`` maps each
+    closed reflection set S to the number of reduced words of y that
+    generate S: the identity has {empty set: 1}, and y sums, over its edges
+    (t, t y), the table of t y with each S joined with t.  The tables are
+    filled from the identity up and kept per group, so a node's table is
+    built once and read by every element above it.  The words of x
+    generating S form one orbit (see the module docstring), whose
+    representative is the least word of x over S.  ``cap`` bounds the size
+    of [1, x], as in ``dual.interval``.
     """
     g = x.group
-    length = dual.reflection_length(x)
-    level = [(x, {frozenset(): 1})]
-    built = 1
-    for depth in range(1, length + 1):
-        below, above = {}, built  # id of an interned node -> (node, {S: paths})
-        for y, paths in level:
-            edges = dual._edges(y)
-            for closed, n in paths.items():
-                for t, z in edges:
-                    joined = subgroups.join(g, closed, t)
-                    counts = below.setdefault(id(z), (z, {}))[1]
-                    if joined not in counts:
-                        if built - above >= cap:
-                            raise CapExceededError(
-                                f"the Hurwitz orbit search in {g.type_string} has "
-                                f"more than {cap} states on level {depth} of {length}; "
-                                f"stopped after building {built} states; raise the "
-                                "cap with --cap or DUALCOX_CAP", cap=cap)
-                        counts[joined] = 0
-                        built += 1
-                    counts[joined] += n
-        level = below.values()
-    (_, ends), = level  # every path ends at the identity
+    tables = g._orbit_tables
+    for y, _ in reversed(dual.interval(x, cap)):
+        if y in tables:
+            continue
+        table = {}
+        for t, z in dual._edges(y):
+            for closed, n in tables[z].items():
+                joined = subgroups.join(g, closed, t)
+                table[joined] = table.get(joined, 0) + n
+        tables[y] = table or {frozenset(): 1}
     orbits = (HurwitzOrbit(dual.first_reduced_word(x, letters=S), n, None,
-                           subgroups._get_subgroup(g, S)) for S, n in ends.items())
+                           subgroups._get_subgroup(g, S)) for S, n in tables[x].items())
     return sorted(orbits, key=lambda orbit: orbit.representative)
 
 
 def hurwitz_orbits(x: Element, cap: int = DEFAULT_RED_CAP):
     """Partition of all reduced words of x into braid orbits.
 
-    The orbits of :func:`orbit_search`, under the same ``cap``, each with its
-    members: the words of x over its subgroup's letters, listed in
-    lexicographic order.  When x has more than ``cap`` words the error names
-    their number, and no word is listed.
+    The orbits of :func:`orbit_search`, each with its members: the words of
+    x over its subgroup's letters, listed in lexicographic order.  ``cap``
+    bounds the number of words; when x has more the error names their
+    number, and no word is listed.  Each level of [1, x] holds at most as
+    many elements as x has words, so the search runs under l(x) + 1 times
+    ``cap`` and refuses nothing whose words fit.
     """
-    orbits = orbit_search(x, cap)
+    orbits = orbit_search(x, (dual.reflection_length(x) + 1) * cap)
     total = sum(orbit.size for orbit in orbits)
     if total > cap:
         raise CapExceededError(f"the element has {total} reduced words, above the cap "

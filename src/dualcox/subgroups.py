@@ -110,7 +110,7 @@ def _close_under_conjugation(g: CoxeterSystem, gens) -> frozenset:
     while queue:
         r = queue.pop()
         for row in rows:
-            new = row[r] >> 1
+            new = row[2 * r] >> 1
             if new not in closed:
                 closed.add(new)
                 queue.append(new)
@@ -144,7 +144,7 @@ def canonical_generators(g: CoxeterSystem, refl_set) -> frozenset:
     gens = set()
     for t in refl_set:
         row = g.reflections[t].images
-        inversions = sum(row[j] & 1 for j in refl_set)
+        inversions = sum(row[2 * j] & 1 for j in refl_set)
         if inversions == 1:
             gens.add(t)
     return frozenset(gens)
@@ -233,11 +233,17 @@ def _get_subgroup(g: CoxeterSystem, closed_set: frozenset) -> ReflectionSubgroup
 
 
 def reflection_closure(g: CoxeterSystem, gens) -> ReflectionSubgroup:
-    """Subgroup generated by the given reflection indices."""
+    """Subgroup generated by the given reflection indices.
+
+    The letters are folded in one at a time with :func:`join`, whose
+    memoised joins close a word that was closed before at no cost.
+    """
+    closed = frozenset()
     for t in gens:
         if not 0 <= t < g.n_reflections:
             raise IndexError(f"reflection index {t} out of range")
-    return _get_subgroup(g, _close_under_conjugation(g, gens))
+        closed = join(g, closed, t)
+    return _get_subgroup(g, closed)
 
 
 def full_subgroup(g: CoxeterSystem) -> ReflectionSubgroup:

@@ -1,10 +1,11 @@
 """Group construction, elements, and the two word constructors."""
 
+import random
 import sys
 import threading
 
 import pytest
-from construction import _ambient_simples_and_form, reference_tables
+from construction import _ambient_simples_and_form, _compose, reference_tables
 
 from dualcox import (
     CoxeterDescriptor,
@@ -82,7 +83,7 @@ class TestBuild:
             g = build_group(name)
             for i, k in enumerate(g.simple_ids):
                 s = g.simple[i]
-                negated = [t for t in range(g.n_reflections) if s.images[t] & 1]
+                negated = [t for t in range(g.n_reflections) if s.images[2 * t] & 1]
                 assert negated == [k]
 
     def test_d4_fork_sits_at_s2(self):
@@ -96,7 +97,9 @@ class TestBuild:
         g = build_group(name)
         assert g.roots == roots
         assert g.simple_ids == simple_ids
-        assert tuple(r.images for r in g.reflections) == images
+        assert tuple(r.images[0::2] for r in g.reflections) == images
+        assert all(r.images[1::2] == tuple(e ^ 1 for e in r.images[0::2])
+                   for r in g.reflections)
         assert g.coxeter_matrix == coxeter_matrix
 
     def test_concurrent_builds_share_one_system(self, monkeypatch):
@@ -190,6 +193,25 @@ class TestElementOps:
         assert g.identity.order() == 1
         assert (g.simple[0] * g.simple[1]).order() == 3
 
+    @pytest.mark.parametrize("name", ["A1", "G2", "I2(7)", "B2xH3", "E8", "A20"])
+    def test_products_and_inverses_agree_with_root_codes(self, name):
+        # the product on N root codes, (j << 1) | sign, is the oracle for
+        # the one on 2N signed points
+        g = build_group(name)
+        rng = random.Random(name)
+
+        def random_element():
+            word = [rng.randrange(g.n_reflections) for _ in range(rng.randrange(8))]
+            return element_from_refl_word(g, word)
+
+        for _ in range(200):
+            x, y = random_element(), random_element()
+            xy = (x * y).images
+            assert xy[0::2] == _compose(x.images[0::2], y.images[0::2])
+            assert xy[1::2] == tuple(e ^ 1 for e in xy[0::2])
+            assert _compose(x.inv().images[0::2], x.images[0::2]) == tuple(
+                j << 1 for j in range(g.n_reflections))
+
     def test_mixed_groups_rejected(self):
         a, b = build_group("A2"), build_group("B2")
         with pytest.raises(MixedGroupsError):
@@ -201,7 +223,7 @@ class TestElementOps:
             g = build_group(name)
             for x in enumerate_group(g):
                 m = x.matrix()
-                for t, e in enumerate(x.images):
+                for t, e in enumerate(x.images[0::2]):
                     image = m.apply(g.roots[t])
                     root = g.roots[e >> 1]
                     assert image == (tuple(-c for c in root) if e & 1 else root)

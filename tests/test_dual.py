@@ -294,10 +294,11 @@ class TestIntervalGraph:
         enumerate_group(g)
         assert g._below_cache and g._interval_edges and g._interval_nodes
         assert g._closed_sets and any(joins for _, _, joins in g._closed_sets.values())
+        assert w in g._orbit_tables and len(g._orbit_tables[w]) == len(orbits)
         assert g._all_elements is not None
         g.clear_caches()
         assert not (g._below_cache or g._interval_edges or g._interval_nodes)
-        assert not g._closed_sets
+        assert not (g._closed_sets or g._orbit_tables)
         assert g._all_elements is None
         assert reduced_expressions(c).words == words
         assert count_reduced(c) == len(words) == 27

@@ -7,6 +7,7 @@ from wordtree import orbits_by_letter_sets, orbits_by_moves
 
 from dualcox import (
     CapExceededError,
+    CoxeterDescriptor,
     build_group,
     element_from_simple_word,
     enumerate_group,
@@ -21,6 +22,7 @@ from dualcox import (
     reflection_closure,
     reflection_length,
 )
+from dualcox.coxeter import CoxeterSystem
 
 # (group, reduced simple word) of the elements whose words the benchmark lists
 WORDS_ELEMENTS = (
@@ -167,16 +169,29 @@ class TestOrbits:
             hurwitz_orbits(w, cap=3)
 
     def test_search_cap_error_says_how_far_it_got(self):
+        # the cap bounds [1, c], which has 833 elements
         c = element_from_simple_word(build_group("E6"), range(6))
         with pytest.raises(
             CapExceededError,
-            match=r"more than 100 states on level 2 of 6; stopped after building 137 states",
+            match=r"the interval \[1, w\] in E6 has more than 100 elements; "
+                  r"stopped after building 100 of them, 2 of 6 levels below w",
         ) as info:
             orbit_search(c, cap=100)
         assert info.value.cap == 100
 
+    def test_search_cap_holds_on_warm_tables(self):
+        g = CoxeterSystem(CoxeterDescriptor.parse("E6"))  # private caches
+        c = element_from_simple_word(g, range(6))
+        assert [o.size for o in orbit_search(c)] == [41472]
+        assert c in g._orbit_tables
+        with pytest.raises(CapExceededError, match="more than 100 elements"):
+            orbit_search(c, cap=100)
+        with pytest.raises(CapExceededError, match="more than 832 elements"):
+            orbit_search(c, cap=832)
+        assert [o.size for o in orbit_search(c, cap=833)] == [41472]
+
     def test_word_cap_error_names_the_word_total(self):
-        # every level of the search fits under the cap, the words do not
+        # [1, c] (833 elements) fits under the cap, the words do not
         c = element_from_simple_word(build_group("E6"), range(6))
         with pytest.raises(CapExceededError,
                            match="has 41472 reduced words, above the cap of 1000"):
@@ -218,6 +233,22 @@ class TestOrbitsAgainstMoves:
         by_moves = orbits_by_moves(x)
         assert _as_tuples(hurwitz_orbits(x)) == by_moves
         assert _searched(x) == _without_members(by_moves)
+
+
+@pytest.mark.parametrize("name", ["F4", "B4", "H3"])
+def test_search_in_either_order_on_fresh_tables(name):
+    """Every element's orbits, its tables filled from below (enumeration
+    order) or from above (reverse order), against the search along moves."""
+    expected = {
+        x.images: [(rep, size, sub.refl_set) for _, rep, size, sub in orbits_by_moves(x)]
+        for x in enumerate_group(build_group(name))
+    }
+    for step in (1, -1):
+        g = CoxeterSystem(CoxeterDescriptor.parse(name))  # private caches
+        for x in enumerate_group(g)[::step]:
+            found = [(o.representative, o.size, o.subgroup.refl_set)
+                     for o in orbit_search(x)]
+            assert found == expected[x.images]
 
 
 @pytest.mark.parametrize("name,seed", [("E6", 1106), ("H4", 1104)])

@@ -4,17 +4,34 @@ Reduced words by walking the whole word tree, forming one product per tree
 node; Hurwitz orbits by joining the listed words across single braid moves,
 and by bucketing the listed words by the subgroup their letters generate;
 and indecomposability by sweeping every element of the group.  They share
-only below-sets, reflection length, the word listing and subgroup closure
-with the code under test.
+only below-sets, reflection length and the word listing with the code under
+test; letter sets are closed by a conjugation search of their own, and only
+the finished set is turned into a subgroup.
 """
 
 from dualcox import (
     below_reflections,
     enumerate_group,
     reduced_expressions,
-    reflection_closure,
     reflection_length,
 )
+from dualcox.subgroups import _get_subgroup
+
+
+def closure(g, letters):
+    """Subgroup generated by reflections: conjugate by the letters until no
+    new reflection appears."""
+    rows = [g.reflections[a].images for a in letters]
+    closed = set(letters)
+    queue = list(closed)
+    while queue:
+        b = queue.pop()
+        for row in rows:
+            c = row[2 * b] >> 1  # a b a
+            if c not in closed:
+                closed.add(c)
+                queue.append(c)
+    return _get_subgroup(g, frozenset(closed))
 
 
 def iter_reduced_by_tree(x, letters=None):
@@ -64,7 +81,7 @@ def orbits_by_moves(x):
     g = x.group
 
     def conj(a, b):  # index of the reflection a b a
-        return g.reflections[a].images[b] >> 1
+        return g.reflections[a].images[2 * b] >> 1
 
     red = reduced_expressions(x, cap=10**6)
     assert not red.truncated
@@ -88,7 +105,7 @@ def orbits_by_moves(x):
                         queue.append(moved)
         members.sort()
         rep = members[0]
-        subgroup = reflection_closure(g, set(rep))
+        subgroup = closure(g, set(rep))
         orbits.append((tuple(members), rep, len(members), subgroup))
     return orbits
 
@@ -108,7 +125,7 @@ def orbits_by_letter_sets(x, cap=10**6):
         letters = frozenset(w)
         bucket = bucket_of.get(letters)
         if bucket is None:
-            sub = reflection_closure(x.group, letters)
+            sub = closure(x.group, letters)
             bucket = bucket_of[letters] = buckets.setdefault(sub, [])
         bucket.append(w)
     return [(tuple(members), members[0], len(members), sub)
