@@ -132,7 +132,7 @@ def all_decompositions(x: Element, cap: int = DEFAULT_ENUM_CAP) -> AllDecomposit
     Each orbit's representative is split along its subgroup.  Distinct
     orbits can repeat the same factor list while their component subgroups
     differ; the report records where that happens.  ``cap`` bounds the
-    size of [1, x] that the orbit search walks.
+    size of [1, x], as in the orbit search.
     """
     entries = []
     for orbit in hurwitz.orbit_search(x, cap):

@@ -14,8 +14,10 @@ orbits are therefore the fibres of the map from a word to the subgroup it
 generates.  They are found without listing a word: every node y of the
 cached interval graph of ``dual`` gets a table counting its reduced words
 by the closed reflection set they generate, built from the tables of the
-nodes one step below and kept per group, so the orbits of x are read off
-its own table; ``hurwitz_orbits`` then lists each orbit's words over its
+nodes one step below and kept per group with a bound on the size of
+[1, y], so the orbits of x are read off its own table, and a search on
+stored tables counts [1, x] against its cap only when that bound exceeds
+it; ``hurwitz_orbits`` then lists each orbit's words over its
 subgroup's letters.  The tests keep a search along single moves and the
 bucketing of listed words by their letter sets as oracles, and the
 ``orbit-subgroup-count`` suite counts orbits by a union-find over moves.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import dual, subgroups
-from .coxeter import Element
+from .coxeter import Element, breadth_first
 from .errors import CapExceededError
 from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP
 
@@ -66,25 +68,54 @@ def orbit_search(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
     closed reflection set S to the number of reduced words of y that
     generate S: the identity has {empty set: 1}, and y sums, over its edges
     (t, t y), the table of t y with each S joined with t.  The tables are
-    filled from the identity up and kept per group, so a node's table is
-    built once and read by every element above it.  The words of x
-    generating S form one orbit (see the module docstring), whose
-    representative is the least word of x over S.  ``cap`` bounds the size
-    of [1, x], as in ``dual.interval``.
+    kept per group, each with the bound 1 + the sum of its children's
+    bounds on the size of [1, y]; only the nodes below x without a table
+    are walked, and filled children first.  The words of x generating S
+    form one orbit (see the module docstring); its representative, the
+    least word of x over S, is read off the graph along the first edge
+    with a letter in S.  ``cap`` bounds the size of [1, x], as in
+    ``dual.interval``, which walks all of [1, x] only when more than
+    ``cap`` nodes lack a table or the bound of x exceeds ``cap``.  A
+    walk of all of [1, x], this one or the fill on a group without tables,
+    stores its size as the bound of x, so it is not walked again.
     """
     g = x.group
     tables = g._orbit_tables
-    for y, _ in reversed(dual.interval(x, cap)):
-        if y in tables:
-            continue
-        table = {}
-        for t, z in dual._edges(y):
-            for closed, n in tables[z].items():
-                joined = subgroups.join(g, closed, t)
-                table[joined] = table.get(joined, 0) + n
-        tables[y] = table or {frozenset(): 1}
-    orbits = (HurwitzOrbit(dual.first_reduced_word(x, letters=S), n, None,
-                           subgroups._get_subgroup(g, S)) for S, n in tables[x].items())
+    root = g._interval_nodes.setdefault(x.images, x)
+    if root not in tables:  # every node below a table has one
+        whole = not tables  # then the walk is all of [1, x]
+
+        def untabled(y):
+            return [z for _, z in dual._edges(y) if z not in tables]
+
+        def overflow(*_):
+            dual.interval(x, cap)  # raises, saying how far it got
+
+        fresh = breadth_first(root, untabled, cap, overflow, key=id)
+        for y, _ in reversed(fresh):
+            table, bound = {}, 1
+            for t, z in dual._edges(y):
+                below, size = tables[z]
+                bound += size
+                for closed, n in below.items():
+                    joined = subgroups.join(g, closed, t)
+                    table[joined] = table.get(joined, 0) + n
+            tables[y] = table or {frozenset(): 1}, bound
+        if whole:
+            tables[root] = tables[root][0], len(fresh)
+    table, bound = tables[root]
+    if bound > cap:  # raises exactly when [1, x] has more than cap elements
+        tables[root] = table, len(dual.interval(x, cap))
+
+    def representative(letters):
+        word, y = [], root
+        while edges := dual._edges(y):
+            t, y = next(edge for edge in edges if edge[0] in letters)
+            word.append(t)
+        return tuple(word)
+
+    orbits = (HurwitzOrbit(representative(S), n, None, subgroups._get_subgroup(g, S))
+              for S, n in table.items())
     return sorted(orbits, key=lambda orbit: orbit.representative)
 
 

@@ -5,9 +5,9 @@ The command line's enumerating verbs resolve their effective cap from the
 defaults, in that order.  The other verbs take no cap: verification suites
 are fixed sweeps, and the rest enumerate nothing.  Library calls take
 explicit cap arguments with these as defaults.  The element cap also bounds
-the absolute interval [1, w] that ``reds --count``, the exhaustive
-indecomposability check and the orbit search behind ``orbits`` and
-``cycledec --all-orbits`` walk, however much of it is cached; ``orbits
+the size of the absolute interval [1, w] for ``reds --count``, the
+exhaustive indecomposability check and the orbit search behind ``orbits``
+and ``cycledec --all-orbits``, however much of it is cached; ``orbits
 --dot`` lists every word and keeps the word cap.
 
 Construction is limited by the number N of positive roots, because every

@@ -294,7 +294,7 @@ class TestIntervalGraph:
         enumerate_group(g)
         assert g._below_cache and g._interval_edges and g._interval_nodes
         assert g._closed_sets and any(joins for _, _, joins in g._closed_sets.values())
-        assert w in g._orbit_tables and len(g._orbit_tables[w]) == len(orbits)
+        assert w in g._orbit_tables and len(g._orbit_tables[w][0]) == len(orbits)
         assert g._all_elements is not None
         g.clear_caches()
         assert not (g._below_cache or g._interval_edges or g._interval_nodes)

@@ -14,6 +14,7 @@ from dualcox import (
     first_reduced_word,
     hurwitz_move,
     hurwitz_orbits,
+    interval,
     is_parabolic,
     is_parabolic_quasi_coxeter,
     is_quasi_coxeter,
@@ -22,7 +23,9 @@ from dualcox import (
     reflection_closure,
     reflection_length,
 )
+from dualcox import dual
 from dualcox.coxeter import CoxeterSystem
+from dualcox.limits import DEFAULT_ENUM_CAP
 
 # (group, reduced simple word) of the elements whose words the benchmark lists
 WORDS_ELEMENTS = (
@@ -190,6 +193,56 @@ class TestOrbits:
             orbit_search(c, cap=832)
         assert [o.size for o in orbit_search(c, cap=833)] == [41472]
 
+    @pytest.mark.parametrize("warmth", ["cold", "warm", "partial"])
+    def test_search_cap_is_exact_on_any_tables(self, warmth):
+        # [1, c] has 833 elements.  A search on a group without tables
+        # walks all of [1, c] and stores that size as the bound of c; after
+        # a child's tables the bound of c is far larger, so at cap 833 the
+        # size is counted exactly, and stored, before the search answers
+        for cap, levels in ((100, 2), (832, 6), (833, None)):
+            g = CoxeterSystem(CoxeterDescriptor.parse("E6"))  # private caches
+            c = element_from_simple_word(g, range(6))
+            if warmth == "warm":
+                orbit_search(c)
+            elif warmth == "partial":  # the tables of a child of c first
+                orbit_search(g.reflections[first_reduced_word(c)[0]] * c)
+            if levels is None:
+                assert [o.size for o in orbit_search(c, cap=cap)] == [41472]
+                assert g._orbit_tables[c][1] == cap
+                continue
+            with pytest.raises(
+                CapExceededError,
+                match=rf"the interval \[1, w\] in E6 has more than {cap} elements; "
+                      rf"stopped after building {cap} of them, {levels} of 6 levels below w",
+            ):
+                orbit_search(c, cap=cap)
+            assert [o.size for o in orbit_search(c)] == [41472]
+
+    def test_search_inside_its_bound_walks_no_interval(self, monkeypatch):
+        walks = []
+
+        def spy(x, cap):
+            walks.append(x)
+            return interval(x, cap)
+
+        monkeypatch.setattr(dual, "interval", spy)
+        g = CoxeterSystem(CoxeterDescriptor.parse("E6"))  # private caches
+        c = element_from_simple_word(g, range(6))
+        assert len(orbit_search(c, cap=833)) == 1 and not walks  # no table yet
+        assert g._orbit_tables[c][1] == 833  # the size of the walk, exact
+        assert len(orbit_search(c, cap=833)) == 1 and not walks  # warm
+        g = CoxeterSystem(CoxeterDescriptor.parse("E6"))
+        c = element_from_simple_word(g, range(6))
+        x = g.reflections[0] * c
+        y = g.reflections[first_reduced_word(x)[0]] * x
+        assert len(orbit_search(y)) == 1 and not walks  # no table yet
+        assert len(orbit_search(x)) == 1 and not walks  # partial, bound within the cap
+        assert len(orbit_search(x)) == 1 and not walks  # warm
+        assert g._orbit_tables[x][1] <= DEFAULT_ENUM_CAP
+        assert len(orbit_search(c)) == 1 and walks == [c]  # bound above the cap
+        assert g._orbit_tables[c][1] == 833  # the size of that walk, exact
+        assert len(orbit_search(c)) == 1 and walks == [c]  # warm
+
     def test_word_cap_error_names_the_word_total(self):
         # [1, c] (833 elements) fits under the cap, the words do not
         c = element_from_simple_word(build_group("E6"), range(6))
@@ -249,6 +302,29 @@ def test_search_in_either_order_on_fresh_tables(name):
             found = [(o.representative, o.size, o.subgroup.refl_set)
                      for o in orbit_search(x)]
             assert found == expected[x.images]
+
+
+def _check_representatives_and_bounds(x):
+    for orbit in orbit_search(x):
+        assert orbit.representative == first_reduced_word(
+            x, letters=orbit.subgroup.refl_set)
+    assert x.group._orbit_tables[x][1] >= len(interval(x))
+
+
+@pytest.mark.parametrize("name", ["F4", "B4", "H3"])
+def test_representatives_read_off_the_graph_on_every_element(name):
+    """The representative read off the interval graph against the greedy
+    word over the orbit's subgroup, and the stored bound against |[1, x]|."""
+    for x in enumerate_group(build_group(name)):
+        _check_representatives_and_bounds(x)
+
+
+def test_representatives_read_off_the_graph_on_random_e6_elements():
+    g = build_group("E6")
+    rng = random.Random(1401)
+    for _ in range(100):
+        _check_representatives_and_bounds(
+            element_from_simple_word(g, [rng.randrange(g.rank) for _ in range(40)]))
 
 
 @pytest.mark.parametrize("name,seed", [("E6", 1106), ("H4", 1104)])
