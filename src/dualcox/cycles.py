@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import dual, hurwitz, subgroups
-from .coxeter import Element
+from .coxeter import Element, element_from_refl_word
 from .errors import MixedGroupsError, NotQuasiCoxeterError
 from .limits import DEFAULT_ENUM_CAP
 
@@ -51,25 +51,16 @@ def _decompose_along(x: Element, word, container: subgroups.ReflectionSubgroup,
                      ambient: subgroups.ReflectionSubgroup) -> CycleDecomposition:
     """Split a reduced word of x along the components of ``container``."""
     g = x.group
-    block_of = {}
-    for ci, comp in enumerate(container.components):
-        for t in comp.reflections:
-            block_of[t] = ci
-    letters_by_block: dict[int, list] = {}
+    component_of = {t: c for c in container.components for t in c.refl_set}
+    letters: dict = {}
     for t in word:
-        letters_by_block.setdefault(block_of[t], []).append(t)
-    entries = []
-    for ci, letters in letters_by_block.items():
-        comp = container.components[ci]
-        factor = reduce(lambda acc, t: acc * g.reflections[t], letters, g.identity)
-        entries.append((min(comp.reflections), factor,
-                        subgroups.component_subgroup(container, comp)))
-    entries.sort(key=lambda e: e[0])
+        letters.setdefault(component_of[t], []).append(t)
+    closures = sorted(letters, key=lambda c: min(c.refl_set))
     return CycleDecomposition(
         element=x,
         ambient=ambient,
-        factors=tuple(e[1] for e in entries),
-        factor_closures=tuple(e[2] for e in entries),
+        factors=tuple(element_from_refl_word(g, letters[c]) for c in closures),
+        factor_closures=tuple(closures),
     )
 
 

@@ -168,6 +168,13 @@ def interval(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
     [1, x] has more than ``cap`` elements, however much of the graph is
     already cached.
     """
+    root = x.group._interval_nodes.setdefault(x.images, x)
+    return breadth_first(root, lambda y: [z for _, z in _edges(y)], cap,
+                         _overflow(x, cap), key=id)
+
+
+def _overflow(x: Element, cap: int):
+    """The error builder of a walk down [1, x] that passes ``cap`` nodes."""
     def overflow(built, depth):
         return CapExceededError(
             f"the interval [1, w] in {x.group.type_string} has more than "
@@ -176,10 +183,7 @@ def interval(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
             "raise the cap with --cap or DUALCOX_CAP",
             cap=cap,
         )
-
-    root = x.group._interval_nodes.setdefault(x.images, x)
-    return breadth_first(root, lambda y: [z for _, z in _edges(y)], cap, overflow,
-                         key=id)
+    return overflow
 
 
 def count_reduced(x: Element, cap: int = DEFAULT_ENUM_CAP) -> int:

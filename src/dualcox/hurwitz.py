@@ -74,9 +74,10 @@ def orbit_search(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
     form one orbit (see the module docstring); its representative, the
     least word of x over S, is read off the graph along the first edge
     with a letter in S.  ``cap`` bounds the size of [1, x], as in
-    ``dual.interval``, which walks all of [1, x] only when more than
-    ``cap`` nodes lack a table or the bound of x exceeds ``cap``.  A
-    walk of all of [1, x], this one or the fill on a group without tables,
+    ``dual.interval``: the fill raises that function's error, with its own
+    count and depth, when more than ``cap`` nodes lack a table, and all of
+    [1, x] is walked again only when the bound of x exceeds ``cap``.  A
+    walk of all of [1, x], that one or the fill on a group without tables,
     stores its size as the bound of x, so it is not walked again.
     """
     g = x.group
@@ -88,10 +89,7 @@ def orbit_search(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
         def untabled(y):
             return [z for _, z in dual._edges(y) if z not in tables]
 
-        def overflow(*_):
-            dual.interval(x, cap)  # raises, saying how far it got
-
-        fresh = breadth_first(root, untabled, cap, overflow, key=id)
+        fresh = breadth_first(root, untabled, cap, dual._overflow(x, cap), key=id)
         for y, _ in reversed(fresh):
             table, bound = {}, 1
             for t, z in dual._edges(y):

@@ -6,16 +6,18 @@ reflections lying in the subgroup; the test suite checks this against
 listed elements at small scale).  The canonical Coxeter generators are the
 members with exactly one inversion inside the set, and the irreducible
 components are the connected components of their Coxeter diagram, each
-named by its rank and number of reflections.
+named by its rank and number of reflections.  Two generators are bonded
+when they do not commute, and the bond is simple (order 3) when
+a b a = b a b; both are read off the root action, without a product.  Each
+component is itself an interned subgroup of the same ambient group.
 
 Subgroups of one ambient group are interned by reflection set, so the
-parabolicity flag is computed once.  Parabolicity and membership are read off
-below-sets in absolute order (see ``dual``); no subgroup lists its elements.
+type and the parabolicity flag are computed once.  Parabolicity and
+membership are read off below-sets in absolute order (see ``dual``); no
+subgroup lists its elements.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import dual, rootdata
 from .coxeter import (
@@ -24,36 +26,13 @@ from .coxeter import (
 from .errors import InternalInvariantError, MixedGroupsError
 
 
-@dataclass(frozen=True)
-class SubgroupComponent:
-    """One irreducible block: its canonical generators, reflections, and type."""
-
-    gens: tuple
-    reflections: frozenset
-    label: str
-
-
-class DisjointSet:
-    """Union-find over 0..n-1 with path halving."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
 class ReflectionSubgroup:
-    """Conjugation-closed set of reflections with its Coxeter structure."""
+    """Conjugation-closed set of reflections with its Coxeter structure.
+
+    ``components`` are interned subgroups, ``(self,)`` when irreducible and
+    ``()`` when trivial; ``type_string`` is the product of their types,
+    e.g. ``B2xB2``, or ``1``.
+    """
 
     __slots__ = (
         "ambient",
@@ -61,6 +40,7 @@ class ReflectionSubgroup:
         "canonical_gens",
         "components",
         "rank",
+        "type_string",
         "_parabolic",
     )
 
@@ -68,17 +48,17 @@ class ReflectionSubgroup:
         self.ambient = ambient
         self.refl_set = refl_set
         self.canonical_gens = canonical_generators(ambient, refl_set)
-        self.components = _split_components(ambient, self.canonical_gens, refl_set)
         self.rank = len(self.canonical_gens)
         self._parabolic = None
-
-    @property
-    def type_string(self) -> str:
-        """Product of the component type labels, e.g. ``B2xB2``; ``1`` if trivial."""
-        if not self.components:
-            return "1"
-        kinds = sorted(CoxeterDescriptor.parse(c.label) for c in self.components)
-        return "x".join(map(str, kinds))
+        blocks = _diagram_blocks(ambient, sorted(self.canonical_gens))
+        if len(blocks) == 1:
+            (_, simply_laced), = blocks
+            self.components = (self,)
+            self.type_string = _component_label(self.rank, len(refl_set), simply_laced)
+        else:
+            self.components = _split_components(ambient, blocks, refl_set)
+            kinds = sorted(CoxeterDescriptor.parse(c.type_string) for c in self.components)
+            self.type_string = "x".join(map(str, kinds)) or "1"
 
     def is_full(self) -> bool:
         return len(self.refl_set) == self.ambient.n_reflections
@@ -150,23 +130,41 @@ def canonical_generators(g: CoxeterSystem, refl_set) -> frozenset:
     return frozenset(gens)
 
 
-def _diagram_edges(g: CoxeterSystem, gens: list) -> dict:
-    """Coxeter diagram on generators: {(a, b): m} for each bonded pair, m >= 3."""
-    edges = {}
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            m = (g.reflections[a] * g.reflections[b]).order()
-            if m >= 3:
-                edges[(a, b)] = m
-    return edges
+def _bond(g: CoxeterSystem, a: int, b: int) -> tuple:
+    """(bonded, simple) for reflections a != b, off the root action: a b a
+    differs from b when they do not commute, and is b a b at order 3."""
+    aba = g.reflections[a].conjugate_reflection(b)
+    return aba != b, aba == g.reflections[b].conjugate_reflection(a)
 
 
-def _component_label(rank: int, n_refl: int, bonds: set) -> str:
+def _diagram_blocks(g: CoxeterSystem, gens: list) -> list:
+    """Connected blocks of the Coxeter diagram on ascending generators.
+
+    Each block is (its generators, whether all its bonds are simple), grown
+    from the least generator not yet placed, so blocks come by their least
+    generator.  A finite Coxeter diagram is a tree, so the bonds to
+    generators not yet placed are all of its bonds.
+    """
+    left, blocks = list(gens), []
+    while left:
+        block, simply_laced = [left.pop(0)], True
+        for a in block:  # grows as bonded generators are placed
+            for b in tuple(left):
+                bonded, simple = _bond(g, a, b)
+                if bonded:
+                    left.remove(b)
+                    block.append(b)
+                    simply_laced = simply_laced and simple
+        blocks.append((block, simply_laced))
+    return blocks
+
+
+def _component_label(rank: int, n_refl: int, simply_laced: bool) -> str:
     """Type of an irreducible component from its rank and reflection count.
 
     Rank 2 with m reflections is I2(m).  Every other rank has one classical
     family with that many reflections, except that B6 and E6 both have 36;
-    only B6 has a bond of order 4.
+    only E6 is simply laced.
     """
     if rank == 2:
         return str(CoxeterDescriptor.parse(f"I2({n_refl})"))
@@ -177,7 +175,7 @@ def _component_label(rank: int, n_refl: int, bonds: set) -> str:
         and rootdata.component_root_count(family, rank) == n_refl
     ]
     if fits == ["B6", "E6"]:
-        fits = ["B6" if 4 in bonds else "E6"]
+        fits = ["E6" if simply_laced else "B6"]
     if len(fits) != 1:
         raise InternalInvariantError(
             f"no single finite type of rank {rank} has {n_refl} reflections"
@@ -185,42 +183,17 @@ def _component_label(rank: int, n_refl: int, bonds: set) -> str:
     return fits[0]
 
 
-def _split_components(g: CoxeterSystem, gens: frozenset, refl_set: frozenset):
-    """Partition a closed reflection set along the diagram of its generators.
+def _split_components(g: CoxeterSystem, blocks: list, refl_set: frozenset) -> tuple:
+    """The subgroups generated by the diagram blocks, as interned subgroups.
 
-    Every reflection must land in exactly one block; anything else would
+    Their reflections must partition the set; anything else would
     contradict the unique decomposition into irreducible factors and is
     reported as an internal invariant violation.
     """
-    gens = sorted(gens)
-    if not gens:
-        if refl_set:
-            raise InternalInvariantError("nonempty reflection set with no generators")
-        return ()
-    edges = _diagram_edges(g, gens)
-    position = {a: i for i, a in enumerate(gens)}
-    dsu = DisjointSet(len(gens))
-    for a, b in edges:
-        dsu.union(position[a], position[b])
-    blocks: dict[int, list] = {}
-    for i, a in enumerate(gens):
-        blocks.setdefault(dsu.find(i), []).append(a)
-    components = []
-    assigned: set[int] = set()
-    for root in sorted(blocks, key=lambda r: min(blocks[r])):
-        block_gens = tuple(sorted(blocks[root]))
-        block_refl = _close_under_conjugation(g, block_gens)
-        if not block_refl <= refl_set or block_refl & assigned:
-            raise InternalInvariantError(
-                "component reflections overlap or escape the subgroup"
-            )
-        assigned |= block_refl
-        bonds = {m for (a, _), m in edges.items() if a in block_gens}
-        label = _component_label(len(block_gens), len(block_refl), bonds)
-        components.append(SubgroupComponent(block_gens, block_refl, label))
-    if assigned != refl_set:
-        raise InternalInvariantError("some reflection lies in no component")
-    return tuple(components)
+    closed = [_close_under_conjugation(g, gens) for gens, _ in blocks]
+    if frozenset().union(*closed) != refl_set or sum(map(len, closed)) != len(refl_set):
+        raise InternalInvariantError("the components do not partition the reflections")
+    return tuple(_get_subgroup(g, c) for c in closed)
 
 
 def _get_subgroup(g: CoxeterSystem, closed_set: frozenset) -> ReflectionSubgroup:
@@ -249,11 +222,6 @@ def reflection_closure(g: CoxeterSystem, gens) -> ReflectionSubgroup:
 def full_subgroup(g: CoxeterSystem) -> ReflectionSubgroup:
     """The whole group, viewed as a reflection subgroup of itself."""
     return _get_subgroup(g, frozenset(range(g.n_reflections)))
-
-
-def component_subgroup(sub: ReflectionSubgroup, component: SubgroupComponent):
-    """One irreducible block of a subgroup, as a subgroup in its own right."""
-    return _get_subgroup(sub.ambient, frozenset(component.reflections))
 
 
 def is_parabolic(sub: ReflectionSubgroup) -> bool:

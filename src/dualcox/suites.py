@@ -256,11 +256,30 @@ def suite_b4_embedding():
 # -- orbit-subgroup-count ------------------------------------------------
 
 
+class DisjointSet:
+    """Union-find over 0..n-1 with path halving."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[rj] = ri
+
+
 def _count_move_orbits(g, words) -> int:
     """Braid orbits on a complete word list, by union-find over forward moves
     (repeating a move returns to its start word, so they join whole orbits)."""
     index = {w: i for i, w in enumerate(words)}
-    dsu = subgroups.DisjointSet(len(words))
+    dsu = DisjointSet(len(words))
     for wi, w in enumerate(words):
         for i in range(1, len(w)):
             dsu.union(wi, index[hurwitz.hurwitz_move(g, w, i)])

@@ -2,8 +2,10 @@
 
 ``classify_diagram`` names a connected Coxeter diagram by walking it: a path
 is read off its bond labels from one end, a branched diagram by the lengths
-of the three arms at its fork.  The library instead names a component by its
-rank and number of reflections; the tests compare the two.
+of the three arms at its fork.  ``diagram_edges`` finds the bonds by
+multiplying each pair of generators out to its order.  The library instead
+names a component by its rank and number of reflections, and reads its
+bonds off the root action; the tests compare the two.
 """
 
 from dualcox.errors import InternalInvariantError
@@ -14,6 +16,17 @@ def label_key(label: str):
     if label.startswith("I2("):
         return ("I", int(label[3:-1]))
     return (label[0], int(label[1:]))
+
+
+def diagram_edges(g, gens: list) -> dict:
+    """Coxeter diagram on generators: {(a, b): m} for each bonded pair, m >= 3."""
+    edges = {}
+    for i, a in enumerate(gens):
+        for b in gens[i + 1 :]:
+            m = (g.reflections[a] * g.reflections[b]).order()
+            if m >= 3:
+                edges[(a, b)] = m
+    return edges
 
 
 def classify_diagram(gens: list, edges: dict) -> str:

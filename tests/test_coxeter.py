@@ -20,7 +20,7 @@ from dualcox import (
     element_from_simple_word,
     enumerate_group,
 )
-from dualcox import coxeter, full_subgroup
+from dualcox import coxeter, full_subgroup, reflection_closure, subgroups
 from dualcox.algebra import Scalar, vec_dot
 from dualcox.coxeter import CoxeterSystem
 
@@ -110,7 +110,9 @@ class TestBuild:
         def build():
             barrier.wait()
             g = build_group("D6")
-            found.append((g, full_subgroup(g)))
+            # without the fork node: A1, A1 and A3 components
+            split = reflection_closure(g, g.simple_ids[:2] + g.simple_ids[3:])
+            found.append((g, full_subgroup(g), split.components))
 
         threads = [threading.Thread(target=build) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -124,8 +126,13 @@ class TestBuild:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert len(found) == 4
-        assert len({id(g) for g, _ in found}) == 1
-        assert len({id(sub) for _, sub in found}) == 1
+        assert len({id(g) for g, _, _ in found}) == 1
+        assert len({id(sub) for _, sub, _ in found}) == 1
+        g, _, components = found[0]
+        assert sorted(c.type_string for c in components) == ["A1", "A1", "A3"]
+        assert len({tuple(map(id, comps)) for _, _, comps in found}) == 1
+        assert all(c is subgroups._get_subgroup(g, c.refl_set)
+                   for _, _, comps in found for c in comps)
         assert (found[1][0].simple[0] * found[0][0].simple[0]).is_identity()
 
     def test_deterministic_indexing(self):

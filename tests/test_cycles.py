@@ -90,6 +90,17 @@ class TestCycleDecomposition:
             )
             assert got == expected
 
+    @pytest.mark.parametrize("name", ["B3", "D4", "H3", "G2", "B2xB2", "A2xA2"])
+    def test_factor_closures_are_the_components_themselves(self, name):
+        g = build_group(name)
+        for x in enumerate_group(g):
+            decs = [(orbit.subgroup, dec) for orbit, dec in all_decompositions(x).entries]
+            if is_parabolic_quasi_coxeter(x):
+                decs.append((parabolic_closure(x), cycle_decomposition(x)))
+            for container, dec in decs:
+                for closure in dec.factor_closures:
+                    assert any(closure is c for c in container.components)
+
 
 class TestDecompositionInSubgroup:
     def test_stst_in_its_orbit_subgroup(self):

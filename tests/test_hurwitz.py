@@ -243,6 +243,26 @@ class TestOrbits:
         assert g._orbit_tables[c][1] == 833  # the size of that walk, exact
         assert len(orbit_search(c)) == 1 and walks == [c]  # warm
 
+    @pytest.mark.parametrize("cap", [100, 832])
+    def test_refused_search_walks_once(self, monkeypatch, cap):
+        # without tables the fill walk is the interval walk: it raises the
+        # error of dual.interval itself, without calling it
+        walks = []
+
+        def spy(x, cap):
+            walks.append(x)
+            return interval(x, cap)
+
+        monkeypatch.setattr(dual, "interval", spy)
+        g = CoxeterSystem(CoxeterDescriptor.parse("E6"))  # private caches
+        c = element_from_simple_word(g, range(6))
+        with pytest.raises(CapExceededError) as refused:
+            orbit_search(c, cap=cap)
+        assert not walks
+        with pytest.raises(CapExceededError) as walked:
+            interval(c, cap)
+        assert str(refused.value) == str(walked.value)
+
     def test_word_cap_error_names_the_word_total(self):
         # [1, c] (833 elements) fits under the cap, the words do not
         c = element_from_simple_word(build_group("E6"), range(6))

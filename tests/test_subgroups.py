@@ -5,7 +5,7 @@ import time
 from itertools import combinations
 
 import pytest
-from diagrams import classify_diagram, label_key
+from diagrams import classify_diagram, diagram_edges, label_key
 from elimination import all_reflection_subgroups, is_parabolic_by_fixed_space
 
 from dualcox import (
@@ -120,7 +120,7 @@ class TestComponents:
         g = build_group("A3")
         # s0 and s2 commute; their subgroup is two A1 blocks
         sub = reflection_closure(g, {g.simple_ids[0], g.simple_ids[2]})
-        assert [c.label for c in sub.components] == ["A1", "A1"]
+        assert [c.type_string for c in sub.components] == ["A1", "A1"]
         assert sub.type_string == "A1xA1"
 
     def test_b2xb2_inside_b4(self):
@@ -144,7 +144,7 @@ class TestComponents:
         sub = reflection_closure(g, gens)
         assert sub.type_string == "B2xB2"
         assert len(sub.refl_set) == 8
-        assert [c.label for c in sub.components] == ["B2", "B2"]
+        assert [c.type_string for c in sub.components] == ["B2", "B2"]
 
     def test_component_reflections_partition(self):
         g = build_group("B3")
@@ -153,9 +153,21 @@ class TestComponents:
             union = set()
             total = 0
             for c in sub.components:
-                union |= c.reflections
-                total += len(c.reflections)
+                union |= c.refl_set
+                total += len(c.refl_set)
             assert union == sub.refl_set and total == len(sub.refl_set)
+
+    @pytest.mark.parametrize("name", ["B4", "D5", "F4", "H3", "B2xG2", "E6"])
+    def test_components_are_interned_subgroups(self, name):
+        g = build_group(name)
+        assert reflection_closure(g, ()).components == ()
+        for letters in letter_sets(g, 200, seed=sum(map(ord, name))):
+            sub = reflection_closure(g, letters)
+            for c in sub.components:
+                assert c is subgroups._get_subgroup(g, c.refl_set)
+                assert len(c.components) == 1 and c.components[0] is c
+            if len(sub.components) == 1:
+                assert sub.components[0] is sub
 
 
 class TestParabolicity:
@@ -293,9 +305,9 @@ def walked_type(sub) -> str:
     """The type string of the diagram walker, component by component."""
     labels = []
     for c in sub.components:
-        edges = subgroups._diagram_edges(sub.ambient, list(c.gens))
-        labels.append(classify_diagram(list(c.gens), edges))
-    assert [c.label for c in sub.components] == labels
+        gens = sorted(c.canonical_gens)
+        labels.append(classify_diagram(gens, diagram_edges(sub.ambient, gens)))
+    assert [c.type_string for c in sub.components] == labels
     return "x".join(sorted(labels, key=label_key)) or "1"
 
 
@@ -310,7 +322,7 @@ class TestComponentTypes:
         for letters in letter_sets(g, 400, seed=sum(map(ord, name))):
             sub = reflection_closure(g, letters)
             assert sub.type_string == walked_type(sub)
-            seen.update(c.label for c in sub.components)
+            seen.update(c.type_string for c in sub.components)
         # B6 and E6 both have 36 reflections: the closures must reach the tie
         assert name not in ("B6", "E6") or name in seen
 
@@ -324,8 +336,21 @@ class TestComponentTypes:
         sub = full_subgroup(g)
         assert sub.type_string == walked_type(sub) == g.type_string
 
+    @pytest.mark.parametrize(
+        "name",
+        ["A20", "B8", "D8", "E6", "E7", "E8", "F4", "H3", "H4", "G2", "I2(5)",
+         "I2(12)", "B2xH3", "B6xE6"],
+    )
+    def test_bonds_read_off_the_root_action_match_the_orders(self, name):
+        # bonded: a and b do not commute, order >= 3; simple: order 3
+        g = build_group(name)
+        gens = sorted(full_subgroup(g).canonical_gens)
+        for a, b in combinations(gens, 2):
+            m = (g.reflections[a] * g.reflections[b]).order()
+            assert subgroups._bond(g, a, b) == subgroups._bond(g, b, a) == (m >= 3, m == 3)
+
     def test_counts_that_fit_no_type_are_an_invariant_violation(self):
         # no rank-3 family has 7 reflections, rank 5 has A5 and D5 at 15, 20
         for rank, n_refl in ((3, 7), (5, 16), (6, 37)):
             with pytest.raises(InternalInvariantError):
-                subgroups._component_label(rank, n_refl, set())
+                subgroups._component_label(rank, n_refl, True)
