@@ -33,7 +33,7 @@ matrix-based operations are unavailable there.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import attrgetter, itemgetter
@@ -65,8 +65,7 @@ _FAMILY_BOUNDS = {
 _I2_ALIASES = {3: ("A", 2), 4: ("B", 2), 6: ("G", 2)}
 
 
-@dataclass(frozen=True, order=True)
-class CoxeterDescriptor:
+class CoxeterDescriptor(namedtuple("CoxeterDescriptor", "components")):
     """Normalized product of finite-type components.
 
     Components are (family letter, rank-or-parameter) pairs, sorted so equal
@@ -74,8 +73,7 @@ class CoxeterDescriptor:
     ``A2``, ``B2`` and ``G2``.
     """
 
-    components: tuple[tuple[str, int], ...]
-
+    __slots__ = ()
     _COMPONENT_RE = re.compile(r"^(?:([ABDEFGH])(\d+)|I2\((\d+)\))$")
 
     @classmethod

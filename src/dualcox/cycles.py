@@ -18,8 +18,7 @@ word.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import reduce
 
 from . import dual, hurwitz, subgroups
@@ -28,20 +27,19 @@ from .errors import MixedGroupsError, NotQuasiCoxeterError
 from .limits import DEFAULT_ENUM_CAP
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(namedtuple("CycleDecomposition",
+                                      "element ambient factors factor_closures")):
     """Commuting factors of an element, one per irreducible component.
 
     ``ambient`` records the group in which the decomposition was taken: the
     full group, or the subgroup generated by one braid orbit.  Factors are
     sorted by the least reflection index of their component, so equal
-    decompositions compare equal.
+    decompositions compare equal.  ``len`` counts the factors, not the fields,
+    so ``_make`` (behind ``_replace``) skips the named tuple's length check.
     """
 
-    element: Element
-    ambient: subgroups.ReflectionSubgroup
-    factors: tuple
-    factor_closures: tuple
+    __slots__ = ()
+    _make = classmethod(tuple.__new__)
 
     def __len__(self):
         return len(self.factors)
@@ -105,16 +103,17 @@ def decomposition_in_subgroup(x: Element,
     return _decompose_along(x, word, amb, amb)
 
 
-@dataclass(frozen=True)
-class AllDecompositions:
-    """Per-orbit decompositions plus the cross-orbit comparison report."""
+class AllDecompositions(namedtuple("AllDecompositions",
+                                     "element entries equal_factor_pairs closure_sets_distinct")):
+    """Per-orbit decompositions plus the cross-orbit comparison report.
 
-    element: Element
-    entries: tuple  # of (HurwitzOrbit, CycleDecomposition)
-    #: orbit index pairs whose factor multisets coincide
-    equal_factor_pairs: tuple
-    #: closure multisets are pairwise distinct across orbits
-    closure_sets_distinct: bool
+    ``entries`` holds (HurwitzOrbit, CycleDecomposition) pairs;
+    ``equal_factor_pairs`` the orbit index pairs whose factor multisets
+    coincide; ``closure_sets_distinct`` whether the closure multisets are
+    pairwise distinct across orbits.
+    """
+
+    __slots__ = ()
 
 
 def all_decompositions(x: Element, cap: int = DEFAULT_ENUM_CAP) -> AllDecompositions:
@@ -190,11 +189,11 @@ def is_indecomposable(x: Element, cap: int = DEFAULT_ENUM_CAP) -> bool:
     return is_indecomposable_brute(x, cap)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Outcome of independently checking a claimed decomposition."""
+class DecompositionReport(namedtuple("DecompositionReport", "checks")):
+    """Outcome of independently checking a claimed decomposition: ``checks``
+    holds (name, ok, detail) triples."""
 
-    checks: tuple  # of (name, ok, detail)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

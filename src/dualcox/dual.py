@@ -29,7 +29,7 @@ graph.  The test suite keeps the product-per-word tree walk as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, sub
 
 from . import subgroups
@@ -231,12 +231,10 @@ def iter_reduced(x: Element, letters=None):
                 word.pop()
 
 
-@dataclass(frozen=True)
-class RedSet:
+class RedSet(namedtuple("RedSet", "words truncated")):
     """Reduced reflection words of one element, possibly truncated at a cap."""
 
-    words: tuple
-    truncated: bool
+    __slots__ = ()
 
 
 def reduced_expressions(x: Element, cap: int = DEFAULT_RED_CAP,

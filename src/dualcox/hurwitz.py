@@ -28,7 +28,7 @@ it generates is parabolic exactly when it is the parabolic closure of w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import dual, subgroups
 from .coxeter import Element, breadth_first
@@ -48,17 +48,13 @@ def hurwitz_move(g, word, i: int):
     return word[:p] + (g.reflections[a].conjugate_reflection(b), a) + word[p + 2 :]
 
 
-@dataclass(frozen=True)
-class HurwitzOrbit:
+class HurwitzOrbit(namedtuple("HurwitzOrbit", "representative size members subgroup")):
     """One orbit on the reduced words: representative, size, generated subgroup.
 
     ``members`` is None when the orbit was found without listing its words.
     """
 
-    representative: tuple
-    size: int
-    members: tuple | None
-    subgroup: subgroups.ReflectionSubgroup
+    __slots__ = ()
 
 
 def orbit_search(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
@@ -132,7 +128,7 @@ def hurwitz_orbits(x: Element, cap: int = DEFAULT_RED_CAP):
     if total > cap:
         raise CapExceededError(f"the element has {total} reduced words, above the cap "
                                f"of {cap}; raise it with --cap or DUALCOX_CAP", cap=cap)
-    return [replace(orbit, members=tuple(
+    return [orbit._replace(members=tuple(
                 dual.iter_reduced(x, letters=orbit.subgroup.refl_set)))
             for orbit in orbits]
 

@@ -13,7 +13,7 @@ appear once; mirror-pair orbits are printed from their positive entry point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Matrix, Scalar
 from .coxeter import CoxeterSystem, Element, element_from_matrix
@@ -23,15 +23,15 @@ _ONE = Scalar(1)
 _MINUS_ONE = Scalar(-1)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "images")):
     """Bijection of {1, ..., n}; images[i] is the image of i+1."""
 
-    images: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+    def __new__(cls, images):
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("not a bijection")
+        return super().__new__(cls, images)
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -44,20 +44,19 @@ class Permutation:
         return len(self.images)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(namedtuple("SignedPermutation", "window")):
     """Signed bijection of {1, ..., n}: window[i] = w(i+1) in {+-1, ..., +-n}.
 
     Negatives obey w(-i) = -w(i).  The even-signs subfamily is the type D
     group inside type B.
     """
 
-    window: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.window)
-        if sorted(abs(v) for v in self.window) != list(range(1, n + 1)):
+    def __new__(cls, window):
+        if sorted(abs(v) for v in window) != list(range(1, len(window) + 1)):
             raise ValueError("window entries must use each of 1..n once, up to sign")
+        return super().__new__(cls, window)
 
     def __call__(self, i: int) -> int:
         return self.window[i - 1] if i > 0 else -self.window[-i - 1]

@@ -31,7 +31,9 @@ class ReflectionSubgroup:
 
     ``components`` are interned subgroups, ``(self,)`` when irreducible and
     ``()`` when trivial; ``type_string`` is the product of their types,
-    e.g. ``B2xB2``, or ``1``.
+    e.g. ``B2xB2``, or ``1``.  A component is built from its parent's
+    diagram ``block``, its generators and whether it is simply laced, so
+    neither is found again.
     """
 
     __slots__ = (
@@ -44,13 +46,14 @@ class ReflectionSubgroup:
         "_parabolic",
     )
 
-    def __init__(self, ambient: CoxeterSystem, refl_set: frozenset):
+    def __init__(self, ambient: CoxeterSystem, refl_set: frozenset, block=None):
         self.ambient = ambient
         self.refl_set = refl_set
-        self.canonical_gens = canonical_generators(ambient, refl_set)
-        self.rank = len(self.canonical_gens)
         self._parabolic = None
-        blocks = _diagram_blocks(ambient, sorted(self.canonical_gens))
+        blocks = [block] if block else _diagram_blocks(
+            ambient, sorted(canonical_generators(ambient, refl_set)))
+        self.canonical_gens = frozenset(t for gens, _ in blocks for t in gens)
+        self.rank = len(self.canonical_gens)
         if len(blocks) == 1:
             (_, simply_laced), = blocks
             self.components = (self,)
@@ -184,7 +187,8 @@ def _component_label(rank: int, n_refl: int, simply_laced: bool) -> str:
 
 
 def _split_components(g: CoxeterSystem, blocks: list, refl_set: frozenset) -> tuple:
-    """The subgroups generated by the diagram blocks, as interned subgroups.
+    """The subgroups generated by the diagram blocks, as interned subgroups
+    built from their blocks.
 
     Their reflections must partition the set; anything else would
     contradict the unique decomposition into irreducible factors and is
@@ -193,14 +197,14 @@ def _split_components(g: CoxeterSystem, blocks: list, refl_set: frozenset) -> tu
     closed = [_close_under_conjugation(g, gens) for gens, _ in blocks]
     if frozenset().union(*closed) != refl_set or sum(map(len, closed)) != len(refl_set):
         raise InternalInvariantError("the components do not partition the reflections")
-    return tuple(_get_subgroup(g, c) for c in closed)
+    return tuple(_get_subgroup(g, c, block) for c, block in zip(closed, blocks))
 
 
-def _get_subgroup(g: CoxeterSystem, closed_set: frozenset) -> ReflectionSubgroup:
+def _get_subgroup(g: CoxeterSystem, closed_set: frozenset, block=None) -> ReflectionSubgroup:
     sub = g._subgroup_registry.get(closed_set)
     if sub is None:  # concurrent callers keep the first one stored
         sub = g._subgroup_registry.setdefault(
-            closed_set, ReflectionSubgroup(g, closed_set)
+            closed_set, ReflectionSubgroup(g, closed_set, block)
         )
     return sub
 

@@ -11,8 +11,7 @@ Everything here is exact; no tolerances appear anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 
 from . import cycles, dual, hurwitz, permmodel, subgroups
@@ -27,11 +26,8 @@ from .coxeter import (
 )
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(namedtuple("Check", "name ok detail", defaults=("",))):
+    __slots__ = ()
 
 
 def _all_reflection_subgroups(g):

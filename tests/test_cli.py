@@ -291,3 +291,17 @@ class TestDeterminismAndErrors:
         with pytest.raises(SystemExit) as exc:
             cli.run([])
         assert exc.value.code == 2
+
+
+class TestColdStart:
+    def test_import_loads_no_source_introspection(self):
+        """``dataclasses`` would pull in ``inspect`` and its parsers, about
+        half the import time of ``dualcox.cli`` on CPython 3.11; run under
+        ``-S`` so no site hook loads them first."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, dualcox.cli; print(*sorted(sys.modules))"
+        out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert "dualcox.cli" in out
+        assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(out)

@@ -20,7 +20,10 @@ from dualcox import (
     element_from_simple_word,
     enumerate_group,
 )
-from dualcox import coxeter, full_subgroup, reflection_closure, subgroups
+from dualcox import (
+    coxeter, cycles, dual, full_subgroup, hurwitz, permmodel, reflection_closure,
+    subgroups, suites,
+)
 from dualcox.algebra import Scalar, vec_dot
 from dualcox.coxeter import CoxeterSystem
 
@@ -51,6 +54,59 @@ class TestDescriptor:
 
     def test_build_cache_returns_same_system(self):
         assert build_group("G2") is build_group("I2(6)")
+
+    def test_descriptors_sort_by_their_components(self):
+        names = ["E6", "A2xB2", "A3", "B2", "A2", "G2", "I2(7)", "D4xA1", "H3xA1xB3",
+                 "A1xA1"]
+        assert [str(d) for d in sorted(map(CoxeterDescriptor.parse, names))] == [
+            "A1xA1", "A1xB3xH3", "A1xD4", "A2", "A2xB2", "A3", "B2", "E6", "G2", "I2(7)"]
+
+
+def _commuting_pair():
+    """s0 s2 in A3: two commuting transpositions, reflection length 2."""
+    return element_from_simple_word(build_group("A3"), [0, 2])
+
+
+# each result record: a factory and its field names, in order
+RECORDS = {
+    "CoxeterDescriptor": (lambda: CoxeterDescriptor.parse("B2xA3"), ("components",)),
+    "RedSet": (lambda: dual.reduced_expressions(_commuting_pair()),
+               ("words", "truncated")),
+    "HurwitzOrbit": (lambda: hurwitz.hurwitz_orbits(_commuting_pair())[0],
+                     ("representative", "size", "members", "subgroup")),
+    "CycleDecomposition": (lambda: cycles.cycle_decomposition(_commuting_pair()),
+                           ("element", "ambient", "factors", "factor_closures")),
+    "AllDecompositions": (lambda: cycles.all_decompositions(_commuting_pair()),
+                          ("element", "entries", "equal_factor_pairs",
+                           "closure_sets_distinct")),
+    "DecompositionReport": (lambda: cycles.verify_decomposition(
+                                _commuting_pair(), [_commuting_pair()]), ("checks",)),
+    "Permutation": (lambda: permmodel.to_permutation(_commuting_pair()), ("images",)),
+    "SignedPermutation": (lambda: permmodel.to_signed(
+                              element_from_simple_word(build_group("B3"), [2, 1])),
+                          ("window",)),
+    "Check": (lambda: suites.Check("a check", True), ("name", "ok", "detail")),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_records_are_frozen_values(self, name):
+        make, fields = RECORDS[name]
+        record = make()
+        assert type(record).__name__ == name
+        values = {f: getattr(record, f) for f in fields}
+        twin = type(record)(**values)
+        assert twin is not record and twin == record and hash(twin) == hash(record)
+        assert record == tuple(values.values())  # records are named tuples
+        changed = record._replace(**{fields[-1]: None})
+        assert type(changed) is type(record) and changed[:-1] == record[:-1]
+        assert changed[-1] is None
+        assert repr(record) == f"{name}({', '.join(f'{f}={v!r}' for f, v in values.items())})"
+        for attr in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, values.get(attr))
+        assert all(getattr(record, f) is v for f, v in values.items())
 
 
 class TestBuild:
