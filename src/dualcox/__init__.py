@@ -23,7 +23,6 @@ from .coxeter import (
     element_from_matrix,
     element_from_refl_word,
     element_from_simple_word,
-    embed_by_roots,
     enumerate_group,
 )
 from .cycles import (
@@ -84,6 +83,7 @@ from .subgroups import (
     ReflectionSubgroup,
     canonical_generators,
     contains_element,
+    embed_by_roots,
     full_subgroup,
     is_parabolic,
     reflection_closure,

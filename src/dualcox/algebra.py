@@ -166,10 +166,6 @@ def vector(entries) -> Vector:
     return tuple(e if isinstance(e, Scalar) else Scalar(e) for e in entries)
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(u, v))
-
-
 def vec_neg(u: Vector) -> Vector:
     return tuple(-x for x in u)
 
@@ -202,14 +198,6 @@ class Matrix:
         self.n_cols = width
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, n_rows: int, n_cols: int) -> "Matrix":
-        return cls([[ZERO] * n_cols for _ in range(n_rows)])
-
-    @classmethod
     def from_columns(cls, cols) -> "Matrix":
         cols = [vector(c) for c in cols]
         return cls(list(zip(*cols))) if cols else cls([])
@@ -230,11 +218,6 @@ class Matrix:
             raise ValueError("dimension mismatch")
         cols = other.columns()
         return Matrix([[vec_dot(r, c) for c in cols] for r in self.rows])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValueError("dimension mismatch")
-        return Matrix([vec_sub(r, s) for r, s in zip(self.rows, other.rows)])
 
     def __eq__(self, other):
         return (

@@ -229,8 +229,8 @@ class Element:
             for i, k in enumerate(g.simple_ids):
                 if x.images[2 * k] & 1:
                     break
-            else:  # pragma: no cover - impossible for a nonidentity element
-                raise RuntimeError("nonidentity element with no descent")
+            else:  # only a root permutation outside W has no descent
+                raise ValueError("not in the group: the descent walk stops before 1")
             letters.append(i)
             x = x * g.simple[i]
         return tuple(reversed(letters))
@@ -634,43 +634,41 @@ def enumerate_group(g: CoxeterSystem, cap: int = DEFAULT_ENUM_CAP):
     return g._all_elements
 
 
-def element_from_matrix(g: CoxeterSystem, m: Matrix) -> Element:
-    """Element of g whose reflection-representation matrix is m.
+def _element_from_root_map(g: CoxeterSystem, image) -> Element:
+    """Element of g sending each root r to the signed root ``image(r)``.
 
-    The matrix must map every positive root to a signed positive root;
-    otherwise it does not define an element of the group.
+    Raises ValueError unless the map permutes the roots and its descent walk
+    reaches 1: -I permutes the roots of A2, but is not in W.
     """
-    if not g.is_linear:
-        raise NoLinearModelError(f"{g.type_string} has no matrix model")
-    if m.n_rows != g.ambient_dim or m.n_cols != g.ambient_dim:
-        raise ValueError("matrix has the wrong shape for this group")
     images = []
     for root in g.roots:
-        img = m.apply(root)
+        img = image(root)
         k = g.root_index.get(img)
         if k is not None:
             images.append(k << 1)
             continue
         k = g.root_index.get(vec_neg(img))
         if k is None:
-            raise ValueError("matrix does not permute the root system")
+            raise ValueError("the map does not permute the root system")
         images.append((k << 1) | 1)
     if len({e >> 1 for e in images}) != g.n_reflections:
-        raise ValueError("matrix action on roots is not a bijection")
-    return Element(g, _on_signed_points(images, g.identity.images))
+        raise ValueError("the map is not a bijection on the roots")
+    x = Element(g, _on_signed_points(images, g.identity.images))
+    x.s_word()
+    return x
 
 
-def embed_by_roots(x: Element, target: CoxeterSystem) -> Element:
-    """Transport x to a group whose root system contains the source roots.
+def element_from_matrix(g: CoxeterSystem, m: Matrix) -> Element:
+    """Element of g whose reflection-representation matrix is m.
 
-    Both groups must share ambient coordinates (for instance the long roots
-    of B_n form a D_n system in the same space).  The element is matched by
-    its exact matrix.
+    Raises ValueError when m is not the matrix of an element of W.
     """
-    g = x.group
-    if not g.is_linear or not target.is_linear:
-        raise NoLinearModelError("root embedding needs linear models on both sides")
-    if g.ambient_dim != target.ambient_dim:
-        raise ValueError("ambient dimensions differ; no common root coordinates")
-    return element_from_matrix(target, x.matrix())
-
+    if not g.is_linear:
+        raise NoLinearModelError(f"{g.type_string} has no matrix model")
+    if m.n_rows != g.ambient_dim or m.n_cols != g.ambient_dim:
+        raise ValueError("matrix has the wrong shape for this group")
+    x = _element_from_root_map(g, m.apply)
+    # every element fixes the complement of the roots' span pointwise
+    if any(m.apply(v) != v for v in g._complement):
+        raise ValueError("matrix moves the complement of the roots' span")
+    return x

@@ -20,7 +20,7 @@ stored tables counts [1, x] against its cap only when that bound exceeds
 it; ``hurwitz_orbits`` then lists each orbit's words over its
 subgroup's letters.  The tests keep a search along single moves and the
 bucketing of listed words by their letter sets as oracles, and the
-``orbit-subgroup-count`` suite counts orbits by a union-find over moves.
+``orbit-subgroup-count`` suite counts orbits by a search over moves.
 
 Whether the action is transitive is read off one reduced word: the subgroup
 it generates is parabolic exactly when it is the parabolic closure of w.

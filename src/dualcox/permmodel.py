@@ -1,9 +1,10 @@
 """Permutation and signed-permutation models for types A, B and D.
 
-These are independent of the root-system machinery: elements convert to
-window notation by reading their matrices, composition is plain index
-composition, and cycle decompositions are computed combinatorially.  They
-serve as differential-testing oracles for the dual-order code.
+Elements convert to windows along their simple-reflection words, and back
+by mapping every root through the window, with no matrix; composition is
+plain index composition, and cycle decompositions are computed
+combinatorially.  They serve as differential-testing oracles for the
+dual-order code.
 
 Cycle text follows the signed convention: ``(1,-2,-1,2)`` maps 1 to -2,
 -2 to -1, -1 to 2 and 2 back to 1.  Cycles moving i and -i in one orbit
@@ -15,12 +16,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .algebra import Matrix, Scalar
-from .coxeter import CoxeterSystem, Element, element_from_matrix
+from .coxeter import CoxeterSystem, Element, _element_from_root_map
 from .errors import WordParseError
-
-_ONE = Scalar(1)
-_MINUS_ONE = Scalar(-1)
 
 
 class Permutation(namedtuple("Permutation", "images")):
@@ -84,62 +81,62 @@ def _single_family(g: CoxeterSystem, families: str) -> str:
     return family
 
 
+def _window(x: Element) -> list:
+    """Signed images of the axes 1..n, composed along ``x.s_word()``.
+
+    A simple root is c_a e_a + c_b e_b, or c_a e_a taken with b = a, for
+    signs c; its reflection sends e_a to -c_a c_b e_b and e_b to -c_a c_b e_a.
+    """
+    g = x.group
+    moves = []
+    for root in g.simple_roots:
+        (a, ca), *other = [(k, c.sign()) for k, c in enumerate(root) if c]
+        (b, cb), = other or [(a, ca)]
+        moves.append((a, b, -ca * cb))
+    window = list(range(1, g.ambient_dim + 1))
+    for i in x.s_word():  # window = window * s_i
+        a, b, c = moves[i]
+        window[a], window[b] = c * window[b], c * window[a]
+    return window
+
+
 def to_permutation(x: Element) -> Permutation:
     """Permutation model of an element of a type A group (acting on n+1 points)."""
     _single_family(x.group, "A")
-    m = x.matrix()
-    images = [0] * m.n_cols
-    for j in range(m.n_cols):
-        col = m.column(j)
-        k = next(i for i, e in enumerate(col) if e)
-        if col[k] != _ONE or any(e for i, e in enumerate(col) if i != k):
-            raise ValueError("matrix is not a permutation matrix")
-        images[j] = k + 1
-    return Permutation(tuple(images))
+    return Permutation(tuple(_window(x)))
 
 
 def to_signed(x: Element) -> SignedPermutation:
     """Signed-permutation model of an element of a type B or D group."""
-    family = _single_family(x.group, "BD")
-    m = x.matrix()
-    window = [0] * m.n_cols
-    for j in range(m.n_cols):
-        col = m.column(j)
-        k = next(i for i, e in enumerate(col) if e)
-        if col[k] not in (_ONE, _MINUS_ONE) or any(
-            e for i, e in enumerate(col) if i != k
-        ):
-            raise ValueError("matrix is not a signed permutation matrix")
-        window[j] = (k + 1) if col[k] == _ONE else -(k + 1)
-    sp = SignedPermutation(tuple(window))
-    if family == "D" and sp.negative_count % 2:
-        raise ValueError("type D elements must have an even number of sign changes")
-    return sp
+    _single_family(x.group, "BD")
+    return SignedPermutation(tuple(_window(x)))
+
+
+def _from_window(g: CoxeterSystem, window) -> Element:
+    if len(window) != g.ambient_dim:
+        raise ValueError("window size does not match the group")
+
+    def image(root):
+        img = [None] * len(window)
+        for c, v in zip(root, window):
+            img[abs(v) - 1] = c if v > 0 else -c
+        return tuple(img)
+
+    return _element_from_root_map(g, image)
 
 
 def element_from_permutation(g: CoxeterSystem, p: Permutation) -> Element:
     """Inverse of :func:`to_permutation`."""
     _single_family(g, "A")
-    n = p.n
-    if n != g.ambient_dim:
-        raise ValueError("permutation size does not match the group")
-    rows = [[Scalar(1 if p(j + 1) == i + 1 else 0) for j in range(n)] for i in range(n)]
-    return element_from_matrix(g, Matrix(rows))
+    return _from_window(g, p.images)
 
 
 def element_from_signed(g: CoxeterSystem, sp: SignedPermutation) -> Element:
     """Inverse of :func:`to_signed`."""
     family = _single_family(g, "BD")
-    n = sp.n
-    if n != g.ambient_dim:
-        raise ValueError("signed permutation size does not match the group")
     if family == "D" and sp.negative_count % 2:
         raise ValueError("odd number of sign changes does not lie in the type D group")
-    rows = [[Scalar(0)] * n for _ in range(n)]
-    for j in range(n):
-        v = sp(j + 1)
-        rows[abs(v) - 1][j] = Scalar(1 if v > 0 else -1)
-    return element_from_matrix(g, Matrix(rows))
+    return _from_window(g, sp.window)
 
 
 def classical_cycles(p: Permutation):

@@ -20,10 +20,11 @@ subgroup lists its elements.
 from __future__ import annotations
 
 from . import dual, rootdata
+from .algebra import vec_neg
 from .coxeter import (
     _FAMILY_BOUNDS, CoxeterDescriptor, CoxeterSystem, Element, element_from_refl_word,
 )
-from .errors import InternalInvariantError, MixedGroupsError
+from .errors import InternalInvariantError, MixedGroupsError, NoLinearModelError
 
 
 class ReflectionSubgroup:
@@ -259,3 +260,38 @@ def contains_element(sub: ReflectionSubgroup, x: Element) -> bool:
     except ValueError:
         return False
     return True
+
+
+def embed_by_roots(x: Element, target: CoxeterSystem) -> Element:
+    """Transport x to a group in the same ambient space, through their common roots.
+
+    For instance the long roots of B_n form a D_n system.  The common roots
+    are closed under their own reflections, so the walk of
+    ``contains_element`` over the source reflections in them writes x as a
+    word, which is read as the target's reflections in the same roots.
+
+    Raises ValueError when x is not a product of the reflections in the
+    common roots, even where the target holds the same linear map: in
+    B2xB2, s0 s0' = diag(-1, 1, -1, 1) lies in W(D4), but the two groups
+    share only the roots e0 +- e1 and e2 +- e3.
+    """
+    g = x.group
+    if not g.is_linear or not target.is_linear:
+        raise NoLinearModelError("root embedding needs linear models on both sides")
+    if g.ambient_dim != target.ambient_dim:
+        raise ValueError("ambient dimensions differ; no common root coordinates")
+    # H3 and H4 blocks sit last (components are sorted), in the basis of
+    # their own simple roots under their own form, so equal coordinates
+    # name the same vector only when the H components agree too
+    if [c for c in g.descriptor.components if c[0] == "H"] != [
+            c for c in target.descriptor.components if c[0] == "H"]:
+        raise ValueError("H components differ; the ambient forms do not agree")
+    index = target.root_index
+    common = {t: index.get(r, index.get(vec_neg(r))) for t, r in enumerate(g.roots)}
+    letters = frozenset(t for t, k in common.items() if k is not None)
+    try:
+        word = dual.first_reduced_word(x, letters=letters)
+    except ValueError:
+        raise ValueError(f"{x!r} is not a product of the reflections in the roots "
+                         f"{g.type_string} shares with {target.type_string}") from None
+    return element_from_refl_word(target, [common[t] for t in word])

@@ -16,12 +16,12 @@ from itertools import combinations
 
 from . import cycles, dual, hurwitz, permmodel, subgroups
 from .coxeter import (
+    breadth_first,
     build_group,
     cayley_bfs,
     classical_order,
     classical_root_count,
     element_from_simple_word,
-    embed_by_roots,
     enumerate_group,
 )
 
@@ -201,7 +201,7 @@ def suite_b4_embedding():
     """The same element inside B4: non-transitive, with the two expected subgroups."""
     _, w = _d4_example()
     b4 = build_group("B4")
-    wb = embed_by_roots(w, b4)
+    wb = subgroups.embed_by_roots(w, b4)
     checks = []
 
     sp = permmodel.to_signed(wb)
@@ -252,34 +252,20 @@ def suite_b4_embedding():
 # -- orbit-subgroup-count ------------------------------------------------
 
 
-class DisjointSet:
-    """Union-find over 0..n-1 with path halving."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
 def _count_move_orbits(g, words) -> int:
-    """Braid orbits on a complete word list, by union-find over forward moves
-    (repeating a move returns to its start word, so they join whole orbits)."""
-    index = {w: i for i, w in enumerate(words)}
-    dsu = DisjointSet(len(words))
-    for wi, w in enumerate(words):
-        for i in range(1, len(w)):
-            dsu.union(wi, index[hurwitz.hurwitz_move(g, w, i)])
-    return len({dsu.find(wi) for wi in range(len(words))})
+    """Braid orbits on a complete word list, by breadth-first search over
+    forward moves (repeating a move returns to its start word, so they reach
+    a whole orbit, which never outgrows the list)."""
+    def moves(w):
+        return (hurwitz.hurwitz_move(g, w, i) for i in range(1, len(w)))
+
+    seen, n_orbits = set(), 0
+    for w in words:
+        if w not in seen:
+            n_orbits += 1
+            orbit = breadth_first(w, moves, len(words), None, key=tuple)
+            seen.update(v for v, _ in orbit)
+    return n_orbits
 
 
 def suite_orbit_subgroup_count():

@@ -9,7 +9,7 @@ each Coxeter number m_ij is the order of s_i s_j.
 """
 
 from dualcox import rootdata
-from dualcox.algebra import Scalar, vec_dot, vec_neg, vec_sub, vector
+from dualcox.algebra import Scalar, vec_dot, vec_neg, vector
 from dualcox.coxeter import CoxeterDescriptor
 
 
@@ -58,7 +58,7 @@ def reference_tables(type_string):
 
     def reflect(v, alpha, norm):
         c = pair(alpha, v) * 2 / norm
-        return vec_sub(v, tuple(c * x for x in alpha))
+        return tuple(x - c * y for x, y in zip(v, alpha))
 
     pos = set(simples)
     frontier = list(simples)

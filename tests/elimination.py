@@ -13,6 +13,20 @@ from dualcox import reflection_closure
 from dualcox.algebra import Matrix, _rref, kernel_basis, vec_dot
 
 
+def identity(n: int) -> Matrix:
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def zero(n_rows: int, n_cols: int) -> Matrix:
+    return Matrix([[0] * n_cols for _ in range(n_rows)])
+
+
+def minus_identity(m: Matrix) -> Matrix:
+    """m - 1 for a square matrix m."""
+    return Matrix([[e - int(i == j) for j, e in enumerate(row)]
+                   for i, row in enumerate(m.rows)])
+
+
 def rank(m: Matrix) -> int:
     """Exact rank via Gaussian elimination."""
     rows = [list(r) for r in m.rows]
@@ -24,7 +38,7 @@ def fixed_space_dim(m: Matrix) -> int:
     """dim ker(m - I) for a square matrix."""
     if m.n_rows != m.n_cols:
         raise ValueError("fixed_space_dim requires a square matrix")
-    return m.n_rows - rank(m - Matrix.identity(m.n_rows))
+    return m.n_rows - rank(minus_identity(m))
 
 
 def in_span(v, basis) -> bool:
@@ -60,9 +74,7 @@ def row_space_rref(vectors):
 
 def moved_space(x):
     """(rref rows, pivots) of Mov(x), the column space of x - 1."""
-    g = x.group
-    delta = x.matrix() - Matrix.identity(g.ambient_dim)
-    return row_space_rref(delta.columns())
+    return row_space_rref(minus_identity(x.matrix()).columns())
 
 
 def length_and_below(x):
@@ -89,7 +101,7 @@ def is_parabolic_by_fixed_space(sub) -> bool:
     if gens:
         fixed = kernel_basis(Matrix([form_row(g.roots[t]) for t in gens]))
     else:
-        fixed = Matrix.identity(g.ambient_dim).rows
+        fixed = identity(g.ambient_dim).rows
     stabilizing = frozenset(
         t for t in range(g.n_reflections)
         if all(not vec_dot(form_row(g.roots[t]), e) for e in fixed)

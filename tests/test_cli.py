@@ -176,6 +176,42 @@ class TestElementVerbs:
         assert doc["cycles"] == "(1,2,3)"
 
 
+class TestPermutationModelsWithoutElimination:
+    """The permutation models run on the root action, never on Fraction
+    elimination, which only ``Element.matrix()`` needs."""
+
+    @pytest.fixture(autouse=True)
+    def no_elimination(self, monkeypatch):
+        from dualcox import algebra, coxeter
+
+        def refuse(rows):
+            raise AssertionError("Fraction elimination was called")
+
+        monkeypatch.setattr(algebra, "_rref", refuse)
+        # fresh groups, so no basis inverse cached by another test is reused
+        monkeypatch.setattr(coxeter, "_BUILD_CACHE", {})
+
+    @pytest.mark.parametrize("argv, cycles", [
+        (["perm", "A6", "-w", "0 1 0 3 5 4"], "(1,3)(4,5,7,6)"),
+        (["perm", "B4", "-w", "0 1 2 3"], "(1,2,3,4,-1,-2,-3,-4)"),
+        (["perm", "D5", "-w", "0 1 2 3 4"], "(1,-1)(2,3,4,5,-2,-3,-4,-5)"),
+        (["perm", "D4", "-c", "(1,-2)(3,-4)"], "(1,-2)(3,-4)"),
+    ])
+    def test_perm(self, capsys, argv, cycles):
+        doc = run_json(capsys, argv + ["--json"])
+        assert doc["cycles"] == cycles
+
+    def test_cycle_input(self, capsys):
+        doc = run_json(capsys, ["cycledec", "B4", "-c", "(1,-2,-1,2)(3,4,-3,-4)",
+                                "--all-orbits", "--json"])
+        types = [e["decomposition"]["ambient"]["type"] for e in doc["entries"]]
+        assert sorted(types) == ["B2xB2", "D4"]
+
+    @pytest.mark.parametrize("suite", ["cycles-type-a", "b4-embedding"])
+    def test_suites(self, capsys, suite):
+        assert run_json(capsys, ["verify", suite, "--json"])["passed"] is True
+
+
 class TestVerifyVerb:
     def test_g2_suite_passes(self, capsys, schema):
         doc = run_json(capsys, ["verify", "g2-two-orbits", "--json"], schema)

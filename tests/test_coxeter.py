@@ -24,8 +24,8 @@ from dualcox import (
     coxeter, cycles, dual, full_subgroup, hurwitz, permmodel, reflection_closure,
     subgroups, suites,
 )
-from dualcox.algebra import Scalar, vec_dot
-from dualcox.coxeter import CoxeterSystem
+from dualcox.algebra import Matrix, Scalar, vec_dot
+from dualcox.coxeter import CoxeterSystem, element_from_matrix
 
 LINEAR_TYPES = (
     "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5",
@@ -318,6 +318,31 @@ class TestElementOps:
                     assert (x * y).conjugate_reflection(t) == x.conjugate_reflection(
                         y.conjugate_reflection(t)
                     )
+
+    def test_matrix_roundtrip(self):
+        for name in ("A3", "B3", "H3"):
+            g = build_group(name)
+            for x in enumerate_group(g):
+                assert element_from_matrix(g, x.matrix()) == x
+
+    def test_root_permutations_outside_the_group_are_refused(self):
+        # -I permutes the roots of A2, and B4's sign change s0 those of D4,
+        # but neither lies in the group: the descent walk stops short of 1
+        outside = "not in the group: the descent walk stops before 1"
+        minus_one = Matrix([[-int(i == j) for j in range(3)] for i in range(3)])
+        with pytest.raises(ValueError, match=outside):
+            element_from_matrix(build_group("A2"), minus_one)
+        with pytest.raises(ValueError, match=outside):
+            element_from_matrix(build_group("D4"), build_group("B4").simple[0].matrix())
+
+    def test_matrices_moving_the_complement_of_the_roots_are_refused(self):
+        # on Q^2, A1 fixes (1, 1); -swap fixes its root (1, -1) but negates (1, 1)
+        with pytest.raises(ValueError, match="moves the complement of the roots' span"):
+            element_from_matrix(build_group("A1"), Matrix([[0, -1], [-1, 0]]))
+        # the reflection in e0 + e1 of B2xH3 fixes the A1 root e0 - e1 and H3
+        x = element_from_simple_word(build_group("B2xH3"), [0, 1, 0])
+        with pytest.raises(ValueError, match="moves the complement"):
+            element_from_matrix(build_group("H3xA1"), x.matrix())
 
     def test_canonical_s_word(self):
         g = build_group("A2")

@@ -1,14 +1,18 @@
 """Permutation and signed-permutation oracles for types A, B, D."""
 
+import random
+
 import pytest
 
 from dualcox import (
     Permutation,
+    Scalar,
     SignedPermutation,
     build_group,
     classical_cycles,
     cycles_str,
     element_from_permutation,
+    element_from_refl_word,
     element_from_signed,
     element_from_simple_word,
     enumerate_group,
@@ -74,6 +78,51 @@ class TestConversions:
         odd = SignedPermutation((-1, 2, 3, 4))
         with pytest.raises(ValueError):
             element_from_signed(d4, odd)
+
+
+def window_from_matrix(x) -> tuple:
+    """Signed window read off the columns of x's Fraction matrix.
+
+    Column j of a signed permutation matrix is +-1 at row k alone when x
+    sends axis j + 1 to +-(k + 1).  The conversions read windows off the
+    root action instead; this is their oracle.
+    """
+    window = []
+    for col in x.matrix().columns():
+        (k, c), = [(k, c) for k, c in enumerate(col) if c]
+        assert c in (Scalar(1), Scalar(-1))
+        window.append(k + 1 if c == Scalar(1) else -(k + 1))
+    return tuple(window)
+
+
+def oracle_elements(name):
+    """Every element of the small groups; 40 seeded products of 2 * rank
+    random reflections on A12, B8 and D8."""
+    g = build_group(name)
+    if name not in ("A12", "B8", "D8"):
+        return g, enumerate_group(g)
+    rng = random.Random(name)
+    words = [[rng.randrange(g.n_reflections) for _ in range(2 * g.rank)]
+             for _ in range(40)]
+    return g, [element_from_refl_word(g, w) for w in words]
+
+
+class TestWindowsAgainstMatrices:
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A12"])
+    def test_permutations(self, name):
+        g, elements = oracle_elements(name)
+        for x in elements:
+            images = window_from_matrix(x)
+            assert to_permutation(x).images == images
+            assert element_from_permutation(g, Permutation(images)) == x
+
+    @pytest.mark.parametrize("name", ["B2", "B3", "B4", "D4", "B8", "D8"])
+    def test_signed_permutations(self, name):
+        g, elements = oracle_elements(name)
+        for x in elements:
+            window = window_from_matrix(x)
+            assert to_signed(x).window == window
+            assert element_from_signed(g, SignedPermutation(window)) == x
 
 
 class TestCycles:

@@ -16,7 +16,9 @@ from dualcox import (
     canonical_generators,
     contains_element,
     decomposition_in_subgroup,
+    element_from_refl_word,
     element_from_simple_word,
+    embed_by_roots,
     enumerate_group,
     full_subgroup,
     is_parabolic,
@@ -24,7 +26,7 @@ from dualcox import (
     reflection_closure,
     subgroups,
 )
-from dualcox.coxeter import cayley_bfs
+from dualcox.coxeter import cayley_bfs, element_from_matrix
 
 
 def listed(g, gens) -> set:
@@ -381,3 +383,75 @@ class TestComponentTypes:
         for rank, n_refl in ((3, 7), (5, 16), (6, 37)):
             with pytest.raises(InternalInvariantError):
                 subgroups._component_label(rank, n_refl, True)
+
+
+def embedded_or_none(x, target, embed=embed_by_roots):
+    try:
+        return embed(x, target)
+    except ValueError:
+        return None
+
+
+def matrix_image(x, target):
+    return element_from_matrix(target, x.matrix())
+
+
+class TestEmbedByRoots:
+    """The walk over common roots against the image of x's matrix.
+
+    Where ``element_from_matrix`` finds no element of the target, the walk
+    must raise ValueError too: on half of B4 into D4, for instance.  H3xA1
+    and B2xH3 have their H3 block on the same coordinates.
+    """
+
+    @pytest.mark.parametrize("source, target", [
+        ("D4", "B4"), ("B4", "D4"), ("A2", "G2"), ("G2", "A2"), ("D4", "F4"),
+        ("B4", "F4"), ("F4", "B4"), ("F4", "D4"), ("H3", "H3"),
+        ("H3xA1", "B2xH3"),
+    ])
+    def test_whole_groups(self, source, target):
+        t = build_group(target)
+        for x in enumerate_group(build_group(source)):
+            assert embedded_or_none(x, t) == embedded_or_none(x, t, matrix_image)
+
+    @pytest.mark.parametrize("source, target", [
+        ("E6", "E7"), ("E7", "E8"), ("D8", "E8"), ("A7", "E8"), ("B8", "E8"),
+        ("E8", "D8"),
+    ])
+    def test_seeded_samples(self, source, target):
+        # 12 products of 2 * rank random reflections per pair
+        g, t = build_group(source), build_group(target)
+        rng = random.Random(source + target)
+        for _ in range(12):
+            x = element_from_refl_word(
+                g, [rng.randrange(g.n_reflections) for _ in range(2 * g.rank)])
+            assert embedded_or_none(x, t) == embedded_or_none(x, t, matrix_image)
+
+    @pytest.mark.parametrize("source, target", [
+        ("B3", "H3"), ("H3", "B3"), ("B4", "H4"), ("H4", "F4"), ("H3xA1", "B2xA2"),
+    ])
+    def test_groups_under_different_forms_are_refused(self, source, target):
+        # equal coordinates are different vectors: B3's s0 has root (1,0,0),
+        # as H3's s0 has, but diag(-1,1,1) sends H3's root (phi,1,0) to no root
+        g, t = build_group(source), build_group(target)
+        for x in (g.identity, *g.simple):
+            with pytest.raises(ValueError, match="H components differ"):
+                embed_by_roots(x, t)
+
+    def test_elements_outside_the_common_reflections_are_refused(self):
+        # B2xB2 and D4 share only e0 +- e1 and e2 +- e3: their reflections
+        # give 16 of the 32 elements of B2xB2 whose matrices D4 holds
+        g, d4 = build_group("B2xB2"), build_group("D4")
+        images = {x: embedded_or_none(x, d4) for x in enumerate_group(g)}
+        oracle = {x: embedded_or_none(x, d4, matrix_image) for x in images}
+        assert sum(y is not None for y in images.values()) == 16
+        assert sum(y is not None for y in oracle.values()) == 32
+        assert all(y is None or y == oracle[x] for x, y in images.items())
+        with pytest.raises(ValueError, match="roots B2xB2 shares with D4"):
+            embed_by_roots(g.simple[0] * g.simple[2], d4)
+
+    def test_half_of_b4_lies_outside_d4(self):
+        d4 = build_group("D4")
+        images = [embedded_or_none(x, d4) for x in enumerate_group(build_group("B4"))]
+        assert images.count(None) == 192
+        assert set(images) - {None} == set(enumerate_group(d4))
