@@ -234,20 +234,14 @@ def _cmd_info(args):
     return 0
 
 
-def _cmd_reflen(args):
-    g = build_group(args.group)
-    x = _element_from_args(g, args)
+def _cmd_reflen(g, x, args):
     k = dual.reflection_length(x)
-    _emit(args, {"element": _element_json(x), "reflen": k}, [str(k)])
-    return 0
+    return {"reflen": k}, [str(k)]
 
 
-def _cmd_closure(args):
-    g = build_group(args.group)
-    x = _element_from_args(g, args)
+def _cmd_closure(g, x, args):
     sub = dual.parabolic_closure(x)
     doc = {
-        "element": _element_json(x),
         "reflen": dual.reflection_length(x),
         "closure": subgroup_json(sub),
     }
@@ -256,20 +250,15 @@ def _cmd_closure(args):
         f"parabolic closure: type {sub.type_string}, rank {sub.rank}, "
         f"reflections {sorted(sub.refl_set)}",
     ]
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_reds(args):
-    g = build_group(args.group)
-    x = _element_from_args(g, args)
+def _cmd_reds(g, x, args):
     if args.count:
         n = dual.count_reduced(x, cap=args.enum_cap)
-        _emit(args, {"element": _element_json(x), "n_reds": n}, [str(n)])
-        return 0
+        return {"n_reds": n}, [str(n)]
     red = dual.reduced_expressions(x, cap=args.red_cap)
     doc = {
-        "element": _element_json(x),
         "n_reds": len(red.words),
         "truncated": red.truncated,
         "words": [list(w) for w in red.words],
@@ -277,19 +266,15 @@ def _cmd_reds(args):
     lines = [" ".join(f"t{t}" for t in w) or "e" for w in red.words]
     if red.truncated:
         lines.append(f"(truncated at {args.red_cap}; raise --cap)")
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_orbits(args):
-    g = build_group(args.group)
-    x = _element_from_args(g, args)
+def _cmd_orbits(g, x, args):
     if args.dot:
         orbits = hurwitz.hurwitz_orbits(x, cap=args.red_cap)
     else:
         orbits = hurwitz.orbit_search(x, cap=args.enum_cap)
     doc = {
-        "element": _element_json(x),
         "n_reds": sum(o.size for o in orbits),
         "orbits": [],
     }
@@ -307,17 +292,13 @@ def _cmd_orbits(args):
     if args.dot:
         _orbit_dot(g, orbits, args.dot)
         lines.append(f"orbit graph written to {args.dot}")
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_cycledec(args):
-    g = build_group(args.group)
-    x = _element_from_args(g, args)
+def _cmd_cycledec(g, x, args):
     if args.all_orbits:
         report = cycles.all_decompositions(x, cap=args.enum_cap)
         doc = {
-            "element": _element_json(x),
             "entries": [
                 {
                     "orbit": {"size": o.size, "rep": list(o.representative)},
@@ -341,8 +322,7 @@ def _cmd_cycledec(args):
                 "equal factor multisets across orbits: "
                 + ", ".join(f"{i}~{j}" for i, j in report.equal_factor_pairs)
             )
-        _emit(args, doc, lines)
-        return 0
+        return doc, lines
     dec = cycles.cycle_decomposition(x)
     doc = _decomposition_json(dec)
     lines = [f"{len(dec.factors)} factor(s)"]
@@ -362,31 +342,20 @@ def _cmd_cycledec(args):
         lines.extend(
             f"  {'PASS' if ok else 'FAIL'} {name}" for name, ok, _ in report.checks
         )
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_indec(args):
-    g = build_group(args.group)
-    x = _element_from_args(g, args)
+def _cmd_indec(g, x, args):
     value = cycles.is_indecomposable(x, cap=args.enum_cap)
-    _emit(
-        args,
-        {"element": _element_json(x), "indecomposable": value},
-        ["indecomposable" if value else "decomposable"],
-    )
-    return 0
+    return {"indecomposable": value}, ["indecomposable" if value else "decomposable"]
 
 
-def _cmd_perm(args):
-    g = build_group(args.group)
-    x = _element_from_args(g, args)
+def _cmd_perm(g, x, args):
     family = g.descriptor.components[0][0] if len(g.descriptor.components) == 1 else ""
     if family == "A":
         p = permmodel.to_permutation(x)
         text = permmodel.cycles_str(permmodel.classical_cycles(p))
         doc = {
-            "element": _element_json(x),
             "model": "permutation",
             "images": list(p.images),
             "cycles": text,
@@ -395,7 +364,6 @@ def _cmd_perm(args):
         sp = permmodel.to_signed(x)
         text = permmodel.cycles_str(permmodel.signed_cycles(sp))
         doc = {
-            "element": _element_json(x),
             "model": "signed",
             "window": list(sp.window),
             "cycles": text,
@@ -404,8 +372,7 @@ def _cmd_perm(args):
         raise DualcoxError(
             f"{g.type_string} has no permutation model; use types A, B or D"
         )
-    _emit(args, doc, [text])
-    return 0
+    return doc, [text]
 
 
 def _cmd_verify(args):
@@ -508,7 +475,13 @@ def run(argv) -> int:
         args.red_cap = cap if cap is not None else DEFAULT_RED_CAP
         args.enum_cap = cap if cap is not None else DEFAULT_ENUM_CAP
     try:
-        return args.func(args)
+        if "word" not in args:  # info and verify take no element
+            return args.func(args)
+        g = build_group(args.group)
+        x = _element_from_args(g, args)
+        doc, lines = args.func(g, x, args)
+        _emit(args, {"element": _element_json(x), **doc}, lines)
+        return 0
     except (UnsupportedTypeError, WordParseError) as exc:
         print(f"dualcox: usage error: {exc}", file=sys.stderr)
         return 2

@@ -20,9 +20,10 @@ simple reflections are read off the search; the reflection in any other
 root s_i(beta) is the conjugate s_i s_beta s_i, a composition of rows that
 needs no arithmetic, and every row picks its entries from one shared
 ``tuple(range(2N))``, so a table entry costs one pointer, 8 bytes, and no
-int object of its own.  The Coxeter matrix comes from the products of
-opposite Cartan entries, 4 cos^2(pi/m_ij).  Matrices in the reflection
-representation are reconstructed on demand from the root action and cached.
+int object of its own.  The Coxeter matrix is read off these tables for
+every model: m_ij is the number of reflections in the dihedral subgroup
+<s_i, s_j>.  Matrices in the reflection representation are reconstructed
+on demand from the root action and cached.
 
 ``I2(m)`` for m not in {3, 4, 6} uses a combinatorial dihedral model that
 still exposes the signed action on m abstract "positive roots" (the
@@ -240,21 +241,12 @@ class Element:
         return f"<{self.group.type_string}: s-word [{word}]>"
 
 
-# 4 cos^2(pi/m) in Z[phi], as (p, q) = p + q*phi, for each m_ij
-_COXETER_NUMBER = {(0, 0): 2, (1, 0): 3, (2, 0): 4, (1, 1): 5, (3, 0): 6}
-
-
 def _zphi(x: Scalar) -> tuple[int, int]:
     """(p, q) with x = p + q*phi; a + b*sqrt5 = (a - b) + 2b*phi."""
     p, q = x.a - x.b, 2 * x.b
     if p.denominator != 1 or q.denominator != 1:
         raise ValueError(f"{x} is not an integer of Q(sqrt 5)")
     return int(p), int(q)
-
-
-def _zphi_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    # phi^2 = phi + 1
-    return (x[0] * y[0] + x[1] * y[1], x[0] * y[1] + x[1] * y[0] + x[1] * y[1])
 
 
 def _times(c: tuple[int, int], j: int, width: int):
@@ -386,15 +378,13 @@ class CoxeterSystem:
         del self._reflection_images
         self.simple = tuple(self.reflections[k] for k in self.simple_ids)
         self.rank = len(self.simple_ids)
-        # caches shared by the higher layers
+        self.coxeter_matrix = tuple(
+            tuple(len(_close_under_conjugation(self, {a, b})) for b in self.simple_ids)
+            for a in self.simple_ids
+        )
         self._refl_lookup = {r.images: t for t, r in enumerate(self.reflections)}
-        self._below_cache = {}
-        self._interval_edges = {}
-        self._interval_nodes = {}
-        self._closed_sets = {}
-        self._orbit_tables = {}
-        self._all_elements = None
         self._subgroup_registry = {}
+        self.clear_caches()
 
     # -- construction -----------------------------------------------------
 
@@ -454,17 +444,6 @@ class CoxeterSystem:
             table[pos[b]] = itemgetter(*s)(itemgetter(*r)(s))  # s r s
         self._reflection_images = table
 
-        zero = (0, 0)
-        self.coxeter_matrix = tuple(
-            tuple(
-                1 if i == j else _COXETER_NUMBER[
-                    _zphi_mul(cartan.get((i, j), zero), cartan.get((j, i), zero))
-                ]
-                for j in range(rank)
-            )
-            for i in range(rank)
-        )
-
     def _build_dihedral(self):
         m = self.dihedral_m
         self.ambient_dim = None
@@ -485,7 +464,6 @@ class CoxeterSystem:
             images.append(_on_signed_points(row, points))
         self._reflection_images = images
         self.simple_ids = (0, m - 1)
-        self.coxeter_matrix = ((1, m), (m, 1))
 
     # ambient basis for matrices: the simple roots extended by their
     # dot-product complement, which every group element fixes pointwise.  H3
@@ -524,11 +502,11 @@ class CoxeterSystem:
 
         They are rebuilt on demand; interned subgroups are kept.
         """
-        self._below_cache.clear()
-        self._interval_edges.clear()
-        self._interval_nodes.clear()
-        self._closed_sets.clear()
-        self._orbit_tables.clear()
+        self._below_cache = {}
+        self._interval_edges = {}
+        self._interval_nodes = {}
+        self._closed_sets = {}
+        self._orbit_tables = {}
         self._all_elements = None
 
     def reflection_index(self, x: Element) -> int | None:
@@ -537,6 +515,26 @@ class CoxeterSystem:
 
     def __repr__(self):
         return f"CoxeterSystem({self.type_string})"
+
+
+def _close_under_conjugation(g: CoxeterSystem, gens) -> frozenset:
+    """Reflections of the subgroup generated by gens: their orbit under it.
+
+    Every reflection of the subgroup is conjugate inside it to one of the
+    generating reflections, so conjugating by the generators alone reaches
+    all of them.
+    """
+    closed = set(gens)
+    rows = [g.reflections[s].images for s in closed]
+    queue = list(closed)
+    while queue:
+        r = queue.pop()
+        for row in rows:
+            new = row[2 * r] >> 1
+            if new not in closed:
+                closed.add(new)
+                queue.append(new)
+    return frozenset(closed)
 
 
 _BUILD_CACHE: dict[CoxeterDescriptor, CoxeterSystem] = {}

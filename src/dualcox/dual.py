@@ -38,16 +38,6 @@ from .errors import CapExceededError, MixedGroupsError
 from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP
 
 
-def _dihedral_class(x: Element) -> int:
-    """0 identity, 1 reflection, 2 nontrivial rotation."""
-    if x.is_identity():
-        return 0
-    m = x.group.dihedral_m
-    i0 = x.images[0] >> 1
-    i1 = x.images[2] >> 1
-    return 2 if (i0 + 1) % m == i1 else 1
-
-
 def _moved_roots(x: Element) -> frozenset:
     """Indices of the roots whose orbit under x sums to zero (linear models).
 
@@ -96,23 +86,21 @@ def reflection_below(t: int, x: Element) -> bool:
 def below_reflections(x: Element) -> frozenset:
     """All reflections below x in absolute order; cached per group.
 
-    The combinatorial dihedral model has no root coordinates: there the
-    identity has nothing below it, a reflection only itself, and a rotation
-    every reflection.
+    The combinatorial dihedral model has no root coordinates.  There the
+    identity has nothing below it, a reflection (found by the reflection
+    lookup) only itself, and any other element, a rotation, every reflection.
     """
     g = x.group
     cached = g._below_cache.get(x.images)
     if cached is None:
         if g.is_linear:
             cached = _moved_roots(x)
+        elif x.is_identity():
+            cached = frozenset()
+        elif (t := g.reflection_index(x)) is not None:
+            cached = frozenset({t})
         else:
-            cls = _dihedral_class(x)
-            if cls == 0:
-                cached = frozenset()
-            elif cls == 1:
-                cached = frozenset({g.reflection_index(x)})
-            else:
-                cached = frozenset(range(g.n_reflections))
+            cached = frozenset(range(g.n_reflections))
         g._below_cache[x.images] = cached
     return cached
 

@@ -185,18 +185,8 @@ def signed_cycles(sp: SignedPermutation):
 
 
 def perm_reflection_length(p: Permutation) -> int:
-    """n minus the number of cycles (fixed points included)."""
-    seen = set()
-    n_cycles = 0
-    for start in range(1, p.n + 1):
-        if start in seen:
-            continue
-        n_cycles += 1
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cur = p(cur)
-    return p.n - n_cycles
+    """n minus the number of cycles: a k-cycle adds k - 1, a fixed point 0."""
+    return sum(len(c) - 1 for c in classical_cycles(p))
 
 
 def cycles_str(cycles) -> str:

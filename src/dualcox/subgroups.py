@@ -22,7 +22,8 @@ from __future__ import annotations
 from . import dual, rootdata
 from .algebra import vec_neg
 from .coxeter import (
-    _FAMILY_BOUNDS, CoxeterDescriptor, CoxeterSystem, Element, element_from_refl_word,
+    _FAMILY_BOUNDS, CoxeterDescriptor, CoxeterSystem, Element, _close_under_conjugation,
+    element_from_refl_word,
 )
 from .errors import InternalInvariantError, MixedGroupsError, NoLinearModelError
 
@@ -79,26 +80,6 @@ class ReflectionSubgroup:
 
     def __repr__(self):
         return f"<{self.type_string} subgroup of {self.ambient.type_string}>"
-
-
-def _close_under_conjugation(g: CoxeterSystem, gens) -> frozenset:
-    """Reflections of the subgroup generated by gens: their orbit under it.
-
-    Every reflection of the subgroup is conjugate inside it to one of the
-    generating reflections, so conjugating by the generators alone reaches
-    all of them.
-    """
-    closed = set(gens)
-    rows = [g.reflections[s].images for s in closed]
-    queue = list(closed)
-    while queue:
-        r = queue.pop()
-        for row in rows:
-            new = row[2 * r] >> 1
-            if new not in closed:
-                closed.add(new)
-                queue.append(new)
-    return frozenset(closed)
 
 
 def join(g: CoxeterSystem, closed: frozenset, t: int) -> frozenset:

@@ -402,6 +402,29 @@ class TestDihedralModel:
             dihedral = CoxeterSystem(CoxeterDescriptor((("I", m),)))
             assert census(enumerate_group(dihedral)) == census(elements)
 
+    @pytest.mark.parametrize("m", [5, 7, 8, 12, 30])
+    def test_matrix_and_below_sets_against_word_parity(self, m):
+        # the Coxeter matrix is read off the reflections of <s0, s1>, the
+        # below-sets off the reflection lookup; the oracles are the element
+        # orders and the parity of the simple words: odd words are the
+        # reflections, even words other than the empty one the rotations
+        g = CoxeterSystem(CoxeterDescriptor((("I", m),)))
+        assert g.coxeter_matrix == ((1, m), (m, 1))
+        assert g.coxeter_matrix == tuple(
+            tuple((a * b).order() for b in g.simple) for a in g.simple
+        )
+        every = frozenset(range(m))
+        for x in enumerate_group(g):
+            n = len(x.s_word())
+            below = dual.below_reflections(x)
+            if n == 0:
+                assert x.is_identity() and below == frozenset()
+            elif n % 2:
+                assert g.reflection_index(x) is not None
+                assert below == {g.reflection_index(x)}
+            else:
+                assert below == every
+
     def test_dihedral_s_word_roundtrip(self):
         g = build_group("I2(8)")
         for x in enumerate_group(g):

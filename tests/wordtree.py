@@ -9,6 +9,8 @@ test; letter sets are closed by a conjugation search of their own, and only
 the finished set is turned into a subgroup.
 """
 
+from functools import reduce
+
 from dualcox import (
     below_reflections,
     enumerate_group,
@@ -18,11 +20,12 @@ from dualcox import (
 from dualcox.subgroups import _get_subgroup
 
 
-def closure(g, letters):
-    """Subgroup generated by reflections: conjugate by the letters until no
-    new reflection appears."""
+def close(g, letters, seed=()):
+    """Reflections of the subgroup generated by reflections: conjugate the
+    letters, and a seed of reflections already inside it, by the letters
+    until no new reflection appears."""
     rows = [g.reflections[a].images for a in letters]
-    closed = set(letters)
+    closed = set(seed).union(letters)
     queue = list(closed)
     while queue:
         b = queue.pop()
@@ -31,7 +34,12 @@ def closure(g, letters):
             if c not in closed:
                 closed.add(c)
                 queue.append(c)
-    return _get_subgroup(g, frozenset(closed))
+    return frozenset(closed)
+
+
+def closure(g, letters):
+    """Subgroup generated by reflections."""
+    return _get_subgroup(g, close(g, letters))
 
 
 def iter_reduced_by_tree(x, letters=None):
@@ -113,20 +121,37 @@ def orbits_by_moves(x):
 def orbits_by_letter_sets(x, cap=10**6):
     """Braid orbits of x as (members, representative, size, subgroup) tuples.
 
-    The listed words are bucketed by the closure of their letter set, one
-    closure per distinct letter set; buckets come in order of their first
-    (least) word.
+    The listed words are bucketed by the closure of their letter set, once
+    per distinct letter set; buckets come in order of their first (least)
+    word.  A letter set is closed along the prefixes of its first word:
+    each closed set extended by a letter is closed once, seeded with the
+    set, so words sharing a prefix share the closed sets along it.
     """
+    g = x.group
     red = reduced_expressions(x, cap)
     assert not red.truncated
-    buckets = {}  # subgroup -> its words
-    bucket_of = {}  # letter set -> its subgroup's words
+    entries = {}  # closed set -> (it, letters generating it, its extensions)
+
+    def entry(closed, letters):
+        return entries.setdefault(closed, (closed, letters, {}))
+
+    def extend(e, t):
+        closed, letters, extensions = e
+        ext = extensions.get(t)
+        if ext is None:
+            new = closed if t in closed else close(g, letters + (t,), closed)
+            ext = extensions[t] = entry(new, letters + (t,))
+        return ext
+
+    root = entry(frozenset(), ())
+    buckets = {}  # closed set -> its words
+    bucket_of = {}  # letter set -> its closed set's words
     for w in red.words:
         letters = frozenset(w)
         bucket = bucket_of.get(letters)
         if bucket is None:
-            sub = closure(x.group, letters)
-            bucket = bucket_of[letters] = buckets.setdefault(sub, [])
+            closed = reduce(extend, w, root)[0]
+            bucket = bucket_of[letters] = buckets.setdefault(closed, [])
         bucket.append(w)
-    return [(tuple(members), members[0], len(members), sub)
-            for sub, members in buckets.items()]
+    return [(tuple(members), members[0], len(members), _get_subgroup(g, closed))
+            for closed, members in buckets.items()]
