@@ -14,16 +14,20 @@ the simple roots with s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
 Each root is mapped once to its ambient coordinates in Q or Q(sqrt 5), and
 the roots are sorted lexicographically by them, so repeated builds index
 reflections identically.  Every element is stored as its permutation of the
-2N signed roots, point 2j being +alpha_j and point 2j + 1 being -alpha_j, so
-a product is one C-level ``itemgetter`` over a tuple.  The rows of the
-simple reflections are read off the search; the reflection in any other
-root s_i(beta) is the conjugate s_i s_beta s_i, a composition of rows that
-needs no arithmetic, and every row picks its entries from one shared
-``tuple(range(2N))``, so a table entry costs one pointer, 8 bytes, and no
-int object of its own.  The Coxeter matrix is read off these tables for
-every model: m_ij is the number of reflections in the dihedral subgroup
-<s_i, s_j>.  Matrices in the reflection representation are reconstructed
-on demand from the root action and cached.
+2N signed roots, point 2j being +alpha_j and point 2j + 1 being -alpha_j.
+Up to 256 points (N <= 128, E8 included) the permutation is ``bytes``, one
+byte an entry, and a product is one ``bytes.translate``; above that it is a
+tuple whose entries are picked from one shared ``tuple(range(2N))``, one
+8-byte pointer an entry and no int object of its own, and a product is one
+C-level ``itemgetter``.  Each group chooses its container once, and every
+element of it uses that one.  The rows of the simple reflections are read
+off the search; the reflection in any other root s_i(beta) is the conjugate
+s_i s_beta s_i, a product of rows that needs no arithmetic; the rows are
+composed as tuples and packed into the container once.  The Coxeter
+matrix is read off these tables for every model: m_ij is the number of
+reflections in the dihedral subgroup <s_i, s_j>.  Matrices in the
+reflection representation are reconstructed on demand from the root action
+and cached.
 
 ``I2(m)`` for m not in {3, 4, 6} uses a combinatorial dihedral model that
 still exposes the signed action on m abstract "positive roots" (the
@@ -149,27 +153,37 @@ class Element:
     Point 2i is the positive root i and point 2i + 1 its negative, so
     ``images[2i]`` encodes the image of root i as ``(j << 1) | neg``, the
     root index in the high bits and the sign in the lowest bit, and
-    ``images[2i + 1] == images[2i] ^ 1``.
+    ``images[2i + 1] == images[2i] ^ 1``.  ``images`` is ``bytes`` when
+    2N <= 256 and a tuple otherwise, the same for every element of a group;
+    either gives an int when indexed.
     """
 
     __slots__ = ("group", "images", "_hash", "_matrix")
 
-    def __init__(self, group: "CoxeterSystem", images: tuple):
+    def __init__(self, group: "CoxeterSystem", images: bytes | tuple):
         self.group = group
         self.images = images
         self._hash = None
         self._matrix = None
 
     def __mul__(self, other: "Element") -> "Element":
-        if self.group is not other.group:
+        g = self.group
+        if g is not other.group:
             raise MixedGroupsError("cannot multiply elements of different groups")
-        return Element(self.group, itemgetter(*other.images)(self.images))
+        pad = g._pad
+        if pad is None:
+            return Element(g, itemgetter(*other.images)(self.images))
+        return Element(g, other.images.translate(self.images + pad))
 
     def inv(self) -> "Element":
+        g = self.group
+        if g._pad is not None:
+            table = bytes.maketrans(self.images, g.identity.images)
+            return Element(g, table[:len(self.images)])
         out = [0] * len(self.images)
         for p, e in enumerate(self.images):
             out[e] = p
-        return Element(self.group, tuple(out))
+        return Element(g, tuple(out))
 
     def order(self) -> int:
         k, x = 1, self
@@ -264,9 +278,9 @@ def _times(c: tuple[int, int], j: int, width: int):
     return [[t for t in row if t[1]] for row in rows]
 
 
-def _on_signed_points(codes, points: tuple) -> tuple:
+def _on_signed_points(codes, points) -> tuple:
     """Images of the 2N signed points, from the N codes of the positive
-    roots, as entries of ``points`` = ``tuple(range(2N))``."""
+    roots, as entries of ``points``, the identity's images."""
     return itemgetter(*[e ^ neg for e in codes for neg in (0, 1)])(points)
 
 
@@ -367,14 +381,15 @@ class CoxeterSystem:
         self.n_reflections = n_roots
         self.is_linear = not descriptor.is_dihedral_model
         self.dihedral_m = None if self.is_linear else descriptor.components[0][1]
-        self.identity = Element(self, tuple(range(2 * n_roots)))
+        # bytes.translate takes a 256-entry table: the points past 2N map
+        # to themselves
+        self._pad = bytes(range(2 * n_roots, 256)) if 2 * n_roots <= 256 else None
+        self.identity = self._element(tuple(range(2 * n_roots)))
         if self.is_linear:
             self._build_linear()
         else:
             self._build_dihedral()
-        self.reflections = tuple(
-            Element(self, images) for images in self._reflection_images
-        )
+        self.reflections = tuple(map(self._element, self._reflection_images))
         del self._reflection_images
         self.simple = tuple(self.reflections[k] for k in self.simple_ids)
         self.rank = len(self.simple_ids)
@@ -465,6 +480,10 @@ class CoxeterSystem:
         self._reflection_images = images
         self.simple_ids = (0, m - 1)
 
+    def _element(self, images: tuple) -> Element:
+        """Element with these images, packed into the group's container."""
+        return Element(self, images if self._pad is None else bytes(images))
+
     # ambient basis for matrices: the simple roots extended by their
     # dot-product complement, which every group element fixes pointwise.  H3
     # and H4 blocks use the simple-root basis, so their roots span their own
@@ -517,16 +536,20 @@ class CoxeterSystem:
         return f"CoxeterSystem({self.type_string})"
 
 
-def _close_under_conjugation(g: CoxeterSystem, gens) -> frozenset:
+def _close_under_conjugation(g: CoxeterSystem, gens, seed=frozenset()) -> frozenset:
     """Reflections of the subgroup generated by gens: their orbit under it.
 
     Every reflection of the subgroup is conjugate inside it to one of the
     generating reflections, so conjugating by the generators alone reaches
-    all of them.
+    all of them.  A ``seed`` already closed under all of gens but the last
+    starts the orbit: its members are conjugated by the last one only.
     """
-    closed = set(gens)
-    rows = [g.reflections[s].images for s in closed]
-    queue = list(closed)
+    rows = [g.reflections[s].images for s in gens]
+    queue = [s for s in gens if s not in seed]
+    if seed:
+        last = rows[-1]
+        queue += [c for r in seed if (c := last[2 * r] >> 1) not in seed]
+    closed = set(seed).union(queue)
     while queue:
         r = queue.pop()
         for row in rows:
@@ -651,7 +674,7 @@ def _element_from_root_map(g: CoxeterSystem, image) -> Element:
         images.append((k << 1) | 1)
     if len({e >> 1 for e in images}) != g.n_reflections:
         raise ValueError("the map is not a bijection on the roots")
-    x = Element(g, _on_signed_points(images, g.identity.images))
+    x = g._element(_on_signed_points(images, g.identity.images))
     x.s_word()
     return x
 

@@ -12,7 +12,8 @@ and ``cycledec --all-orbits``, however much of it is cached; ``orbits
 
 Construction is limited by the number N of positive roots, because every
 group stores the images of the 2N signed roots under each of its N
-reflections, 8 bytes an entry: about 61 MB at A62.
+reflections.  Up to 2N = 256 an entry is one byte; above that, A62 among
+them, it is a tuple entry of 8 bytes: about 61 MB at A62.
 """
 
 import os

@@ -420,7 +420,7 @@ _COUNT_SWEEP = (
     "D4", "D5",
     "E6", "E7", "E8",
     "F4", "G2", "H3", "H4",
-    "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(9)", "I2(10)", "I2(11)", "I2(12)",
+    "I2(5)", "I2(7)", "I2(8)", "I2(9)", "I2(10)", "I2(11)", "I2(12)",
 )
 
 _ORDER_SWEEP_MAX = 14400

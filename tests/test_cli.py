@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dualcox import cli
+from dualcox import CoxeterDescriptor, cli, suites
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +235,15 @@ class TestVerifyVerb:
         with pytest.raises(SystemExit) as exc:
             cli.run(["verify", "no-such-suite"])
         assert exc.value.code == 2
+
+    def test_no_sweep_names_a_group_twice(self):
+        # I2(6) parses to G2, so listing both counts one group twice
+        sweeps = {name: names for name, names in vars(suites).items()
+                  if name.endswith("_SWEEP")}
+        assert len(sweeps) >= 5
+        for name, names in sweeps.items():
+            parsed = [CoxeterDescriptor.parse(n) for n in names]
+            assert len(set(parsed)) == len(parsed), name
 
 
 class TestDeterminismAndErrors:

@@ -153,8 +153,8 @@ class TestBuild:
         g = build_group(name)
         assert g.roots == roots
         assert g.simple_ids == simple_ids
-        assert tuple(r.images[0::2] for r in g.reflections) == images
-        assert all(r.images[1::2] == tuple(e ^ 1 for e in r.images[0::2])
+        assert tuple(tuple(r.images[0::2]) for r in g.reflections) == images
+        assert all(tuple(r.images[1::2]) == tuple(e ^ 1 for e in r.images[0::2])
                    for r in g.reflections)
         assert g.coxeter_matrix == coxeter_matrix
 
@@ -256,10 +256,14 @@ class TestElementOps:
         assert g.identity.order() == 1
         assert (g.simple[0] * g.simple[1]).order() == 3
 
-    @pytest.mark.parametrize("name", ["A1", "G2", "I2(7)", "B2xH3", "E8", "A20"])
+    @pytest.mark.parametrize("name", [
+        "A1", "G2", "I2(7)", "B2xH3", "E8", "A20",
+        # the last bytes group of each family, and the first tuple one
+        "A15", "A16", "B11", "B12", "D11", "D12", "I2(128)", "I2(129)",
+    ])
     def test_products_and_inverses_agree_with_root_codes(self, name):
         # the product on N root codes, (j << 1) | sign, is the oracle for
-        # the one on 2N signed points
+        # the one on 2N signed points, stored as bytes up to 256 points
         g = build_group(name)
         rng = random.Random(name)
 
@@ -270,10 +274,35 @@ class TestElementOps:
         for _ in range(200):
             x, y = random_element(), random_element()
             xy = (x * y).images
-            assert xy[0::2] == _compose(x.images[0::2], y.images[0::2])
-            assert xy[1::2] == tuple(e ^ 1 for e in xy[0::2])
+            assert tuple(xy[0::2]) == _compose(x.images[0::2], y.images[0::2])
+            assert tuple(xy[1::2]) == tuple(e ^ 1 for e in xy[0::2])
             assert _compose(x.inv().images[0::2], x.images[0::2]) == tuple(
                 j << 1 for j in range(g.n_reflections))
+
+    @pytest.mark.parametrize("name", ["I2(128)", "I2(129)", "A15", "A16", "B11", "B12"])
+    def test_every_element_path_keeps_the_group_container(self, name):
+        # a tuple element in a bytes group would compare unequal to its
+        # bytes twin, so every path that makes an element packs the same way
+        g = build_group(name)
+        kind = type(g.identity.images)
+        assert kind is (bytes if 2 * g.n_reflections <= 256 else tuple)
+        x = element_from_simple_word(g, [0, 1, 0, 1])
+        made = [x, x.inv(), x * g.simple[0], element_from_refl_word(g, [1, 2, 0]),
+                *g.reflections, *(y for y, _ in dual.interval(x))]
+        family = g.descriptor.components[0][0]
+        if family == "I":
+            made.extend(enumerate_group(g))
+        else:
+            made.append(element_from_matrix(g, x.matrix()))
+        if family == "A":
+            made.append(permmodel.element_from_permutation(g, permmodel.to_permutation(x)))
+        if family == "B":
+            made.append(permmodel.element_from_signed(g, permmodel.to_signed(x)))
+            cycles_list = permmodel.parse_cycles("(1,-2,-1,2)(3,4)")
+            sp = permmodel.signed_from_cycles(g.ambient_dim, cycles_list)
+            made.append(permmodel.element_from_signed(g, sp))
+        assert {type(y.images) for y in made} == {kind}
+        assert made[-1] == element_from_simple_word(g, made[-1].s_word())
 
     def test_mixed_groups_rejected(self):
         a, b = build_group("A2"), build_group("B2")
