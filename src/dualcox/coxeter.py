@@ -536,20 +536,16 @@ class CoxeterSystem:
         return f"CoxeterSystem({self.type_string})"
 
 
-def _close_under_conjugation(g: CoxeterSystem, gens, seed=frozenset()) -> frozenset:
+def _close_under_conjugation(g: CoxeterSystem, gens) -> frozenset:
     """Reflections of the subgroup generated by gens: their orbit under it.
 
     Every reflection of the subgroup is conjugate inside it to one of the
     generating reflections, so conjugating by the generators alone reaches
-    all of them.  A ``seed`` already closed under all of gens but the last
-    starts the orbit: its members are conjugated by the last one only.
+    all of them.
     """
-    rows = [g.reflections[s].images for s in gens]
-    queue = [s for s in gens if s not in seed]
-    if seed:
-        last = rows[-1]
-        queue += [c for r in seed if (c := last[2 * r] >> 1) not in seed]
-    closed = set(seed).union(queue)
+    closed = set(gens)
+    rows = [g.reflections[s].images for s in closed]
+    queue = list(closed)
     while queue:
         r = queue.pop()
         for row in rows:

@@ -86,8 +86,7 @@ def join(g: CoxeterSystem, closed: frozenset, t: int) -> frozenset:
     """Closed reflection set generated by a closed set and one more reflection.
 
     Closed sets are interned per group, each with the few reflections that
-    generated it, so a join conjugates the closed set by t and only the
-    reflections it finds new by those and t; joins are memoised on the
+    generated it, so a join closes those and t; joins are memoised on the
     stored set, and ``clear_caches`` drops both.
     """
     sets = g._closed_sets
@@ -95,7 +94,7 @@ def join(g: CoxeterSystem, closed: frozenset, t: int) -> frozenset:
     _, gens, joins = entry
     joined = joins.get(t)
     if joined is None:
-        new = closed if t in closed else _close_under_conjugation(g, gens + (t,), closed)
+        new = closed if t in closed else _close_under_conjugation(g, gens + (t,))
         joined = joins[t] = sets.setdefault(new, (new, gens + (t,), {}))[0]
     return joined
 
