@@ -46,9 +46,9 @@ def parse_simple_word(g, text: str):
     for token in re.split(r"[\s*]+", text.strip()):
         if not token:
             continue
-        if token.isdigit():
+        if token.isdecimal():
             idx = int(token)
-        elif token[0] == "s" and token[1:].isdigit():
+        elif token[0] == "s" and token[1:].isdecimal():
             idx = int(token[1:])
         elif token in _LETTER_INDEX:
             idx = _LETTER_INDEX[token]
@@ -175,16 +175,18 @@ def _emit(args, document, text_lines):
             print(line)
 
 
+def _word_text(word) -> str:
+    """A reflection word as ``t<k>`` letters; the empty word prints as ``e``."""
+    return " ".join(f"t{t}" for t in word) or "e"
+
+
 def _orbit_dot(g, orbits, path):
     """Orbit graph in DOT form: words as vertices, moves as labeled edges."""
-    def label(word):
-        return " ".join(f"t{t}" for t in word) or "e"
-
     lines = ["graph hurwitz {"]
     for orbit in orbits:
         index = {w: i for i, w in enumerate(orbit.members)}
         for w in orbit.members:
-            lines.append(f'  "{label(w)}";')
+            lines.append(f'  "{_word_text(w)}";')
         seen = set()
         for w in orbit.members:
             for i in range(1, len(w)):
@@ -192,12 +194,14 @@ def _orbit_dot(g, orbits, path):
                 edge = tuple(sorted((index[w], index[moved])))
                 if moved != w and edge not in seen:
                     seen.add(edge)
-                    lines.append(
-                        f'  "{label(w)}" -- "{label(moved)}" [label="sigma_{i}"];'
-                    )
+                    a, b = _word_text(w), _word_text(moved)
+                    lines.append(f'  "{a}" -- "{b}" [label="sigma_{i}"];')
     lines.append("}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise DualcoxError(f"cannot write the orbit graph to {path}: {exc.strerror}") from exc
 
 
 # -- verbs ----------------------------------------------------------------
@@ -263,7 +267,7 @@ def _cmd_reds(g, x, args):
         "truncated": red.truncated,
         "words": [list(w) for w in red.words],
     }
-    lines = [" ".join(f"t{t}" for t in w) or "e" for w in red.words]
+    lines = [_word_text(w) for w in red.words]
     if red.truncated:
         lines.append(f"(truncated at {args.red_cap}; raise --cap)")
     return doc, lines
@@ -281,9 +285,7 @@ def _cmd_orbits(g, x, args):
     lines = [f"{len(orbits)} orbit(s) on {doc['n_reds']} reduced words"]
     for o in orbits:
         entry = {"size": o.size, "rep": list(o.representative)}
-        line = f"  size {o.size}, representative " + (
-            " ".join(f"t{t}" for t in o.representative) or "e"
-        )
+        line = f"  size {o.size}, representative {_word_text(o.representative)}"
         if args.with_subgroups:
             entry["subgroup"] = subgroup_json(o.subgroup)
             line += f", generates {o.subgroup.type_string}"
@@ -397,15 +399,8 @@ def _cmd_verify(args):
 # -- argument parsing ------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep exit code 2 but avoid argparse's SystemExit text
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 def _build_parser():
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="dualcox",
         description="Exact computations in finite Coxeter groups generated by reflections.",
     )

@@ -107,10 +107,10 @@ class CoxeterDescriptor(namedtuple("CoxeterDescriptor", "components")):
         if not components:
             raise UnsupportedTypeError("empty type string", position=0)
         components.sort()
-        dihedral = [c for c in components if c[0] == "I"]
+        dihedral = [n for f, n in components if f == "I"]
         if dihedral and len(components) > 1:
             raise UnsupportedTypeError(
-                "I2(m) with m >= 7 is only supported as a standalone type"
+                f"I2({dihedral[0]}) is only supported as a standalone type"
             )
         return cls(tuple(components))
 
@@ -176,14 +176,10 @@ class Element:
         return Element(g, other.images.translate(self.images + pad))
 
     def inv(self) -> "Element":
-        g = self.group
-        if g._pad is not None:
-            table = bytes.maketrans(self.images, g.identity.images)
-            return Element(g, table[:len(self.images)])
         out = [0] * len(self.images)
         for p, e in enumerate(self.images):
             out[e] = p
-        return Element(g, tuple(out))
+        return self.group._element(tuple(out))
 
     def order(self) -> int:
         k, x = 1, self
@@ -572,22 +568,22 @@ def build_group(descriptor) -> CoxeterSystem:
     return system
 
 
+def _word_product(g: CoxeterSystem, letters: tuple, word, kind: str) -> Element:
+    """Product of ``letters[i]`` over the word, leftmost letter first."""
+    for i in word:
+        if not 0 <= i < len(letters):
+            raise IndexError(f"{kind} index {i} out of range for {g.type_string}")
+    return reduce(lambda acc, i: acc * letters[i], word, g.identity)
+
+
 def element_from_simple_word(g: CoxeterSystem, word) -> Element:
     """Product of simple reflections, leftmost letter first."""
-    for i in word:
-        if not 0 <= i < g.rank:
-            raise IndexError(f"simple index {i} out of range for {g.type_string}")
-    return reduce(lambda acc, i: acc * g.simple[i], word, g.identity)
+    return _word_product(g, g.simple, word, "simple")
 
 
 def element_from_refl_word(g: CoxeterSystem, word) -> Element:
     """Product of reflections t_1 t_2 ... t_k, leftmost letter first."""
-    for t in word:
-        if not 0 <= t < g.n_reflections:
-            raise IndexError(
-                f"reflection index {t} out of range for {g.type_string}"
-            )
-    return reduce(lambda acc, t: acc * g.reflections[t], word, g.identity)
+    return _word_product(g, g.reflections, word, "reflection")
 
 
 def breadth_first(root: Element, step, cap: int, overflow,

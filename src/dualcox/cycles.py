@@ -70,10 +70,8 @@ def cycle_decomposition(x: Element) -> CycleDecomposition:
     subgroup; such elements still decompose per braid orbit, see
     :func:`all_decompositions`.
     """
-    word = dual.first_reduced_word(x)
-    generated = subgroups.reflection_closure(x.group, word)
-    # the test of hurwitz.is_parabolic_quasi_coxeter, on the word decomposed
-    if generated.refl_set != dual.below_reflections(x):
+    word = hurwitz._pqc_word(x)
+    if word is None:
         raise NotQuasiCoxeterError(
             "not a parabolic quasi-Coxeter element; "
             "use a per-orbit decomposition instead"

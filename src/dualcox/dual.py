@@ -225,8 +225,7 @@ class RedSet(namedtuple("RedSet", "words truncated")):
     __slots__ = ()
 
 
-def reduced_expressions(x: Element, cap: int = DEFAULT_RED_CAP,
-                        letters=None) -> RedSet:
+def reduced_expressions(x: Element, cap: int = DEFAULT_RED_CAP) -> RedSet:
     """Collect reduced words with an explicit truncation flag.
 
     At most ``cap`` words are returned; ``truncated`` reports whether more
@@ -235,7 +234,7 @@ def reduced_expressions(x: Element, cap: int = DEFAULT_RED_CAP,
     """
     words = []
     truncated = False
-    for word in iter_reduced(x, letters):
+    for word in iter_reduced(x):
         if len(words) >= cap:
             truncated = True
             break

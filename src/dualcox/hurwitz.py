@@ -68,11 +68,12 @@ def orbit_search(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
     bounds on the size of [1, y]; only the nodes below x without a table
     are walked, and filled children first.  The words of x generating S
     form one orbit (see the module docstring); its representative, the
-    least word of x over S, is read off the graph along the first edge
-    with a letter in S.  ``cap`` bounds the size of [1, x], as in
-    ``dual.interval``: the fill raises that function's error, with its own
-    count and depth, when more than ``cap`` nodes lack a table, and all of
-    [1, x] is walked again only when the bound of x exceeds ``cap``.  A
+    least word of x over S, is the first word ``dual.iter_reduced`` yields
+    over the letters S: length in the subgroup S generates is length in W,
+    so that walk meets no dead end.  ``cap`` bounds the size of [1, x], as
+    in ``dual.interval``: the fill raises that function's error, with its
+    own count and depth, when more than ``cap`` nodes lack a table, and all
+    of [1, x] is walked again only when the bound of x exceeds ``cap``.  A
     walk of all of [1, x], that one or the fill on a group without tables,
     stores its size as the bound of x, so it is not walked again.
     """
@@ -101,14 +102,8 @@ def orbit_search(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
     if bound > cap:  # raises exactly when [1, x] has more than cap elements
         tables[root] = table, len(dual.interval(x, cap))
 
-    def representative(letters):
-        word, y = [], root
-        while edges := dual._edges(y):
-            t, y = next(edge for edge in edges if edge[0] in letters)
-            word.append(t)
-        return tuple(word)
-
-    orbits = (HurwitzOrbit(representative(S), n, None, subgroups._get_subgroup(g, S))
+    orbits = (HurwitzOrbit(next(dual.iter_reduced(root, S)), n, None,
+                           subgroups._get_subgroup(g, S))
               for S, n in table.items())
     return sorted(orbits, key=lambda orbit: orbit.representative)
 
@@ -133,19 +128,27 @@ def hurwitz_orbits(x: Element, cap: int = DEFAULT_RED_CAP):
             for orbit in orbits]
 
 
+def _pqc_word(x: Element):
+    """The first reduced word of x when its letters close to the below-set
+    of x, else None.
+
+    The letters of a reduced word lie below x, so the subgroup they generate
+    sits inside the parabolic closure of x, and it is parabolic exactly
+    when it is that closure.
+    """
+    word = dual.first_reduced_word(x)
+    generated = subgroups.reflection_closure(x.group, word)
+    return word if generated.refl_set == dual.below_reflections(x) else None
+
+
 def is_parabolic_quasi_coxeter(x: Element) -> bool:
     """Whether some (equivalently, by transitivity, every) reduced word of x
     generates a parabolic subgroup.
 
-    The letters of a reduced word lie below x, so the subgroup they generate
-    sits inside the parabolic closure of x, and it is parabolic exactly
-    when it is that closure.  Only one reduced word is inspected; the
-    expression independence is a tested property, not an assumption baked
-    in here.
+    Only one reduced word is inspected; the expression independence is a
+    tested property, not an assumption baked in here.
     """
-    word = dual.first_reduced_word(x)
-    generated = subgroups.reflection_closure(x.group, word)
-    return generated.refl_set == dual.below_reflections(x)
+    return _pqc_word(x) is not None
 
 
 def is_quasi_coxeter(x: Element) -> bool:

@@ -140,22 +140,9 @@ def element_from_signed(g: CoxeterSystem, sp: SignedPermutation) -> Element:
 
 
 def classical_cycles(p: Permutation):
-    """Nontrivial cycles of a permutation, least point first, sorted."""
-    seen = set()
-    cycles = []
-    for start in range(1, p.n + 1):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        cur = p(start)
-        while cur != start:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = p(cur)
-        if len(cycle) >= 2:
-            cycles.append(tuple(cycle))
-    return cycles
+    """Nontrivial cycles of a permutation, least point first, sorted: the
+    signed cycles of p read as a signed permutation with no sign change."""
+    return signed_cycles(SignedPermutation(p.images))
 
 
 def signed_cycles(sp: SignedPermutation):

@@ -22,8 +22,8 @@ from __future__ import annotations
 from . import dual, rootdata
 from .algebra import vec_neg
 from .coxeter import (
-    _FAMILY_BOUNDS, CoxeterDescriptor, CoxeterSystem, Element, _close_under_conjugation,
-    element_from_refl_word,
+    _FAMILY_BOUNDS, _I2_ALIASES, CoxeterDescriptor, CoxeterSystem, Element,
+    _close_under_conjugation, element_from_refl_word,
 )
 from .errors import InternalInvariantError, MixedGroupsError, NoLinearModelError
 
@@ -33,9 +33,9 @@ class ReflectionSubgroup:
 
     ``components`` are interned subgroups, ``(self,)`` when irreducible and
     ``()`` when trivial; ``type_string`` is the product of their types,
-    e.g. ``B2xB2``, or ``1``.  A component is built from its parent's
-    diagram ``block``, its generators and whether it is simply laced, so
-    neither is found again.
+    e.g. ``B2xB2``, or ``1``, formed from one ``(family, n)`` pair per
+    component.  A component finds its generators from its own reflection
+    set, as every other subgroup does.
     """
 
     __slots__ = (
@@ -48,22 +48,18 @@ class ReflectionSubgroup:
         "_parabolic",
     )
 
-    def __init__(self, ambient: CoxeterSystem, refl_set: frozenset, block=None):
+    def __init__(self, ambient: CoxeterSystem, refl_set: frozenset):
         self.ambient = ambient
         self.refl_set = refl_set
         self._parabolic = None
-        blocks = [block] if block else _diagram_blocks(
-            ambient, sorted(canonical_generators(ambient, refl_set)))
-        self.canonical_gens = frozenset(t for gens, _ in blocks for t in gens)
+        self.canonical_gens = canonical_generators(ambient, refl_set)
         self.rank = len(self.canonical_gens)
-        if len(blocks) == 1:
-            (_, simply_laced), = blocks
-            self.components = (self,)
-            self.type_string = _component_label(self.rank, len(refl_set), simply_laced)
-        else:
-            self.components = _split_components(ambient, blocks, refl_set)
-            kinds = sorted(CoxeterDescriptor.parse(c.type_string) for c in self.components)
-            self.type_string = "x".join(map(str, kinds)) or "1"
+        blocks = _diagram_blocks(ambient, sorted(self.canonical_gens))
+        self.components = ((self,) if len(blocks) == 1
+                           else _split_components(ambient, blocks, refl_set))
+        kinds = sorted(_component_label(len(gens), len(c.refl_set), simply_laced)
+                       for (gens, simply_laced), c in zip(blocks, self.components))
+        self.type_string = str(CoxeterDescriptor(tuple(kinds))) or "1"
 
     def is_full(self) -> bool:
         return len(self.refl_set) == self.ambient.n_reflections
@@ -144,23 +140,24 @@ def _diagram_blocks(g: CoxeterSystem, gens: list) -> list:
     return blocks
 
 
-def _component_label(rank: int, n_refl: int, simply_laced: bool) -> str:
-    """Type of an irreducible component from its rank and reflection count.
+def _component_label(rank: int, n_refl: int, simply_laced: bool) -> tuple:
+    """Type of an irreducible component, as a (family, n) pair, from its
+    rank and reflection count.
 
-    Rank 2 with m reflections is I2(m).  Every other rank has one classical
-    family with that many reflections, except that B6 and E6 both have 36;
-    only E6 is simply laced.
+    Rank 2 with m reflections is I2(m), named A2, B2 or G2 where it is one.
+    Every other rank has one classical family with that many reflections,
+    except that B6 and E6 both have 36; only E6 is simply laced.
     """
     if rank == 2:
-        return str(CoxeterDescriptor.parse(f"I2({n_refl})"))
+        return _I2_ALIASES.get(n_refl, ("I", n_refl))
     fits = [
-        f"{family}{rank}"
+        (family, rank)
         for family, (lo, hi) in _FAMILY_BOUNDS.items()
         if family != "I" and lo <= rank <= (hi or rank)
         and rootdata.component_root_count(family, rank) == n_refl
     ]
-    if fits == ["B6", "E6"]:
-        fits = ["E6" if simply_laced else "B6"]
+    if fits == [("B", 6), ("E", 6)]:
+        fits = [("E" if simply_laced else "B", 6)]
     if len(fits) != 1:
         raise InternalInvariantError(
             f"no single finite type of rank {rank} has {n_refl} reflections"
@@ -169,8 +166,7 @@ def _component_label(rank: int, n_refl: int, simply_laced: bool) -> str:
 
 
 def _split_components(g: CoxeterSystem, blocks: list, refl_set: frozenset) -> tuple:
-    """The subgroups generated by the diagram blocks, as interned subgroups
-    built from their blocks.
+    """The subgroups generated by the diagram blocks, as interned subgroups.
 
     Their reflections must partition the set; anything else would
     contradict the unique decomposition into irreducible factors and is
@@ -179,14 +175,14 @@ def _split_components(g: CoxeterSystem, blocks: list, refl_set: frozenset) -> tu
     closed = [_close_under_conjugation(g, gens) for gens, _ in blocks]
     if frozenset().union(*closed) != refl_set or sum(map(len, closed)) != len(refl_set):
         raise InternalInvariantError("the components do not partition the reflections")
-    return tuple(_get_subgroup(g, c, block) for c, block in zip(closed, blocks))
+    return tuple(_get_subgroup(g, c) for c in closed)
 
 
-def _get_subgroup(g: CoxeterSystem, closed_set: frozenset, block=None) -> ReflectionSubgroup:
+def _get_subgroup(g: CoxeterSystem, closed_set: frozenset) -> ReflectionSubgroup:
     sub = g._subgroup_registry.get(closed_set)
     if sub is None:  # concurrent callers keep the first one stored
         sub = g._subgroup_registry.setdefault(
-            closed_set, ReflectionSubgroup(g, closed_set, block)
+            closed_set, ReflectionSubgroup(g, closed_set)
         )
     return sub
 

@@ -266,6 +266,21 @@ class TestDeterminismAndErrors:
         assert cli.run(["reflen", "A2", "-w", "5"]) == 2
         assert cli.run(["reflen", "A2"]) == 2  # no element given
 
+    @pytest.mark.parametrize("flag, text", [("-w", "²"), ("-w", "s²"), ("-r", "(s²)")])
+    def test_non_decimal_digits_are_a_usage_error(self, capsys, flag, text):
+        # str.isdigit accepts superscripts, which int() refuses
+        assert cli.run(["reflen", "A3", flag, text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("dualcox: usage error: bad simple-word token")
+
+    def test_unwritable_dot_path_is_a_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "g.dot"
+        assert cli.run(["orbits", "A3", "-w", "0 1", "--dot", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("dualcox: error: ") and str(path) in err
+        assert err.count("\n") == 1
+
     def test_cap_exceeded_is_a_domain_error(self, capsys):
         assert cli.run(["orbits", "G2", "-w", "s t s t", "--cap", "3"]) == 1
         assert "cap" in capsys.readouterr().err

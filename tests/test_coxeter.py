@@ -1,6 +1,7 @@
 """Group construction, elements, and the two word constructors."""
 
 import random
+import re
 import sys
 import threading
 
@@ -51,6 +52,13 @@ class TestDescriptor:
     def test_rejects_bad_types(self, bad):
         with pytest.raises(UnsupportedTypeError):
             CoxeterDescriptor.parse(bad)
+
+    @pytest.mark.parametrize("text, component", [("B2xI2(5)", "I2(5)"),
+                                                 ("I2(7)xA1", "I2(7)")])
+    def test_dihedral_refusal_names_the_component(self, text, component):
+        with pytest.raises(UnsupportedTypeError,
+                           match=rf"^{re.escape(component)} is only supported as a standalone"):
+            CoxeterDescriptor.parse(text)
 
     def test_build_cache_returns_same_system(self):
         assert build_group("G2") is build_group("I2(6)")

@@ -3,9 +3,15 @@
 from collections import deque
 from itertools import islice
 from math import factorial
+from random import Random
 
 import pytest
-from elimination import length_and_below, minus_identity, moved_space
+from elimination import (
+    is_parabolic_by_fixed_space,
+    length_and_below,
+    minus_identity,
+    moved_space,
+)
 from wordtree import iter_reduced_by_tree
 
 from dualcox import (
@@ -15,12 +21,14 @@ from dualcox import (
     absolute_leq,
     below_reflections,
     build_group,
+    contains_element,
     count_reduced,
     element_from_simple_word,
     enumerate_group,
     first_reduced_word,
     hurwitz_orbits,
     interval,
+    is_parabolic,
     iter_reduced,
     parabolic_closure,
     reduced_expressions,
@@ -94,6 +102,24 @@ class TestAgainstElimination:
             length, below = length_and_below(x)
             assert below_reflections(x) == below
             assert reflection_length(x) == length
+
+    @pytest.mark.parametrize("name", [
+        "E7", "E8", "H4", "B8", "D8", "A12", "B2xH3", "A15", "A16", "B11", "B12",
+    ])
+    def test_random_words_on_large_types(self, name):
+        # A15 and B11 hold their elements as bytes (2N <= 256 signed
+        # points), A16 and B12 as tuples
+        g = build_group(name)
+        rng = Random(sum(map(ord, name)))
+        for _ in range(4):
+            word = [rng.randrange(g.rank) for _ in range(rng.randint(1, 3 * g.rank))]
+            x = element_from_simple_word(g, word)
+            length, below = length_and_below(x)
+            assert below_reflections(x) == below
+            assert reflection_length(x) == length
+            closure = parabolic_closure(x)
+            assert is_parabolic(closure) == is_parabolic_by_fixed_space(closure)
+            assert contains_element(closure, x)
 
 
 class TestAbsoluteOrder:
