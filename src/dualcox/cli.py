@@ -34,7 +34,7 @@ from .coxeter import (
     element_from_simple_word,
 )
 from .errors import DualcoxError, UnsupportedTypeError, WordParseError
-from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP, env_cap
+from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP, env_cap, read_int
 
 _LETTER_INDEX = {"s": 0, "t": 1, "u": 2, "v": 3}
 
@@ -46,22 +46,20 @@ def parse_simple_word(g, text: str):
     for token in re.split(r"[\s*]+", text.strip()):
         if not token:
             continue
-        if token.isdecimal():
-            idx = int(token)
-        elif token[0] == "s" and token[1:].isdecimal():
-            idx = int(token[1:])
+        at = text.find(token, pos)
+        digits = token.removeprefix("s")
+        if digits.isdecimal():
+            idx = read_int(digits, WordParseError, at)
         elif token in _LETTER_INDEX:
             idx = _LETTER_INDEX[token]
         else:
-            raise WordParseError(f"bad simple-word token {token!r}",
-                                 position=text.find(token, pos))
+            raise WordParseError(f"bad simple-word token {token!r}", position=at)
         if idx >= g.rank:
             raise WordParseError(
-                f"simple index {idx} out of range for {g.type_string}",
-                position=text.find(token, pos),
+                f"simple index {idx} out of range for {g.type_string}", position=at
             )
         word.append(idx)
-        pos = text.find(token, pos) + len(token)
+        pos = at + len(token)
     return word
 
 
@@ -79,7 +77,7 @@ def parse_refl_word(g, text: str):
             m = re.match(r"t(\d+)", text[pos:])
             if m is None:
                 raise WordParseError("expected t<k> reflection letter", position=pos)
-            k = int(m.group(1))
+            k = read_int(m.group(1), WordParseError, pos)
             if k >= g.n_reflections:
                 raise WordParseError(
                     f"reflection index {k} out of range for {g.type_string}",
@@ -92,7 +90,10 @@ def parse_refl_word(g, text: str):
             end = text.find(")", pos)
             if end < 0:
                 raise WordParseError("unbalanced parenthesis", position=pos)
-            inner = parse_simple_word(g, text[pos + 1 : end])
+            try:
+                inner = parse_simple_word(g, text[pos + 1 : end])
+            except WordParseError as exc:  # count positions from the start
+                raise WordParseError(exc.reason, position=pos + 1 + exc.position) from None
             elt = element_from_simple_word(g, inner)
             t = g.reflection_index(elt)
             if t is None:

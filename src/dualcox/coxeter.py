@@ -1,19 +1,23 @@
 """Finite Coxeter systems and exact group elements.
 
-A group is built once from its descriptor.  For types with a linear model
-the Cartan entries <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) /
-(alpha_i, alpha_i) are read once off the simple roots and invariant form of
-``rootdata``.  They lie in Z for the crystallographic types and in the ring
-Z[phi] = {p + q*phi}, phi the golden ratio, for H3 and H4, so every root
-has integer coordinates in the basis of simple roots: a flat int tuple with
-one int per simple root, or an interleaved (p, q) pair per simple root when
-some entry is irrational.  The positive roots are generated by breadth-first search from
-the simple roots with s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
-(Humphreys, *Reflection Groups and Coxeter Groups*, sections 1-2).
+A group is built once from its descriptor, in integers only.  For types
+with a linear model the Cartan entries <alpha_j, alpha_i^vee> = 2 (alpha_j,
+alpha_i) / (alpha_i, alpha_i) are read off ``rootdata``: from the dot
+products of its doubled integer simple roots, or as -2 cos(pi/m) from the
+Coxeter orders of an H block.  They lie in Z for the crystallographic types
+and in Z[phi] = {p + q*phi}, phi the golden ratio, for H3 and H4, so every
+root has integer coordinates in the basis of simple roots: a flat int tuple
+with one int per simple root, or an interleaved (p, q) pair per simple root
+when some entry is irrational.  The positive roots are generated by
+breadth-first search from the simple roots with s_i(beta) = beta - <beta,
+alpha_i^vee> alpha_i (Humphreys, *Reflection Groups and Coxeter Groups*,
+sections 1-2).
 
-Each root is mapped once to its ambient coordinates in Q or Q(sqrt 5), and
-the roots are sorted lexicographically by them, so repeated builds index
-reflections identically.  Every element is stored as its permutation of the
+Each root is mapped once to twice its ambient coordinates, an integer
+p + q*phi per axis, and the roots are sorted by their real values, compared
+by an exact integer sign test, so repeated builds index reflections
+identically; the ``Scalar`` roots in Q or Q(sqrt 5) are built from these on
+first use.  Every element is stored as its permutation of the
 2N signed roots, point 2j being +alpha_j and point 2j + 1 being -alpha_j.
 Up to 256 points (N <= 128, E8 included) the permutation is ``bytes``, one
 byte an entry, and a product is one ``bytes.translate``; above that it is a
@@ -40,8 +44,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import attrgetter, itemgetter
+from functools import cached_property, cmp_to_key, reduce
+from operator import attrgetter, itemgetter, mul
 
 from . import rootdata
 from .algebra import Matrix, Scalar, invert, kernel_basis, vec_neg
@@ -51,7 +55,7 @@ from .errors import (
     NoLinearModelError,
     UnsupportedTypeError,
 )
-from .limits import DEFAULT_ENUM_CAP, MAX_ROOTS
+from .limits import DEFAULT_ENUM_CAP, MAX_ROOTS, read_int
 
 ReflWord = tuple  # tuple[int, ...]: reflection indices
 
@@ -91,10 +95,8 @@ class CoxeterDescriptor(namedtuple("CoxeterDescriptor", "components")):
                 raise UnsupportedTypeError(
                     f"cannot parse type component {piece!r}", position=pos
                 )
-            if m.group(1) is not None:
-                family, n = m.group(1), int(m.group(2))
-            else:
-                family, n = "I", int(m.group(3))
+            family = m.group(1) or "I"
+            n = read_int(m.group(2) or m.group(3), UnsupportedTypeError, pos)
             lo, hi = _FAMILY_BOUNDS[family]
             if n < lo or (hi is not None and n > hi):
                 raise UnsupportedTypeError(
@@ -251,14 +253,6 @@ class Element:
         return f"<{self.group.type_string}: s-word [{word}]>"
 
 
-def _zphi(x: Scalar) -> tuple[int, int]:
-    """(p, q) with x = p + q*phi; a + b*sqrt5 = (a - b) + 2b*phi."""
-    p, q = x.a - x.b, 2 * x.b
-    if p.denominator != 1 or q.denominator != 1:
-        raise ValueError(f"{x} is not an integer of Q(sqrt 5)")
-    return int(p), int(q)
-
-
 def _times(c: tuple[int, int], j: int, width: int):
     """Integer rows of v -> c * v_j, one per slot, on flat coordinates.
 
@@ -280,44 +274,32 @@ def _on_signed_points(codes, points) -> tuple:
     return itemgetter(*[e ^ neg for e in codes for neg in (0, 1)])(points)
 
 
-def _pairing(form):
-    """Invariant form on sparse vectors {coordinate: Scalar} of one block."""
-    if form is None:
-        return lambda u, v: sum((x * v[k] for k, x in u.items() if k in v), Scalar(0))
-    return lambda u, v: sum(
-        (x * form[k][l] * y for k, x in u.items() for l, y in v.items()), Scalar(0)
-    )
-
-
 def _half_scalar(value: tuple) -> Scalar:
     """The number (p + q*phi) / 2 for value (p,) or (p, q)."""
     p, q = value[0], value[1] if len(value) > 1 else 0
     return Scalar(Fraction(2 * p + q, 4), Fraction(q, 4))
 
 
-def _cartan_data(blocks):
-    """Simple roots as sparse ambient columns {axis: Scalar}, and Cartan entries.
+def _sign(p: int, q: int) -> int:
+    """Exact sign of p + q*phi, the sign of a + q*sqrt5 with a = 2p + q: the
+    term of larger square decides."""
+    big = 2 * p + q if (2 * p + q) ** 2 > 5 * q * q else q
+    return (big > 0) - (big < 0)
 
-    The entries <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i,
-    alpha_i) are keyed by (i, j), nonzero ones only, as Z[phi] pairs; the
-    blocks of a product are orthogonal.
-    """
-    simples: list[dict] = []
-    cartan: dict[tuple[int, int], tuple[int, int]] = {}
-    offset = 0
-    for bdim, roots, form in blocks:
-        pair = _pairing(form)
-        block = [{k: Scalar(c) for k, c in enumerate(r) if c} for r in roots]
-        first = len(simples)
-        for i, a in enumerate(block):
-            norm = pair(a, a)
-            for j, b in enumerate(block):
-                c = pair(b, a) * 2 / norm
-                if c:
-                    cartan[first + i, first + j] = _zphi(c)
-        simples.extend({offset + k: x for k, x in a.items()} for a in block)
-        offset += bdim
-    return simples, cartan
+
+# -2 cos(pi/m) = p + q*phi for the Coxeter orders of an H block
+_NEG_2COS = {2: (0, 0), 3: (-1, 0), 5: (0, -1)}
+
+
+def _cartan(i: int, j: int, roots, orders) -> tuple[int, int]:
+    """<alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i) in
+    one block, as a Z[phi] pair, from its doubled roots or Coxeter orders."""
+    if orders is None:
+        a, b = roots[i], roots[j]
+        return 2 * sum(map(mul, a, b)) // sum(map(mul, a, a)), 0
+    if i == j:
+        return 2, 0
+    return _NEG_2COS[orders.get((min(i, j), max(i, j)), 2)]
 
 
 def _search_roots(cartan, rank: int, width: int):
@@ -400,16 +382,21 @@ class CoxeterSystem:
     # -- construction -----------------------------------------------------
 
     def _build_linear(self):
-        blocks = [
-            rootdata.simple_root_block(f, n) for f, n in self.descriptor.components
-        ]
-        self.ambient_dim = dim = sum(b[0] for b in blocks)
-        simples, cartan = _cartan_data(blocks)
-        rank = len(simples)
-        # twice the ambient coordinates of the simple roots, in Z[phi]
-        doubled = [{k: _zphi(x * 2) for k, x in a.items()} for a in simples]
-        entries = list(cartan.values()) + [c for a in doubled for c in a.values()]
-        width = 2 if any(q for _, q in entries) else 1
+        cartan = {}
+        axes = []  # per ambient axis, (simple root, doubled coordinate) pairs
+        rank = 0
+        for family, n in self.descriptor.components:
+            bdim, roots, orders = rootdata.simple_root_block(family, n)
+            for i in range(n):
+                for j in range(n):
+                    c = _cartan(i, j, roots, orders)
+                    if any(c):
+                        cartan[rank + i, rank + j] = c
+            axes.extend([(rank + i, a[k]) for i, a in enumerate(roots) if a[k]]
+                        for k in range(bdim))
+            rank += n
+        self.ambient_dim = len(axes)
+        width = 2 if any(q for _, q in cartan.values()) else 1
         coords, parent, simple_rows = _search_roots(cartan, rank, width)
         if len(coords) != self.n_reflections:
             raise RuntimeError(
@@ -417,30 +404,25 @@ class CoxeterSystem:
                 "bad root table"
             )
 
-        # ambient coordinates, twice over, as one (p,) or (p, q) per axis
-        axes = [[[] for _ in range(width)] for _ in range(dim)]
-        for j, a in enumerate(doubled):
-            for k, c in a.items():
-                for slot, terms in zip(axes[k], _times(c, j, width)):
-                    slot.extend(terms)
+        # twice the ambient coordinates, as one (p,) or (p, q) per axis
         ambient = [
-            tuple(tuple(sum(k * beta[m] for m, k in terms) for terms in axis)
+            tuple(tuple(sum(x * beta[j * width + s] for j, x in axis)
+                        for s in range(width))
                   for axis in axes)
             for beta in coords
         ]
-        # few distinct values occur: sort those once by real value, then
-        # the roots by integer ranks
-        scalars = {v: _half_scalar(v) for v in {v for a in ambient for v in a}}
-        rank_of = {v: r for r, v in enumerate(sorted(scalars, key=scalars.get))}
-        order = sorted(
-            range(len(coords)),
-            key=lambda b: tuple(rank_of[v] for v in ambient[b]),
-        )
+        if width == 1:
+            key = ambient.__getitem__
+        else:  # few distinct values occur: sort those once by real value
+            values = sorted({v for a in ambient for v in a},
+                            key=cmp_to_key(lambda u, v: _sign(u[0] - v[0], u[1] - v[1])))
+            rank_of = {v: r for r, v in enumerate(values)}
+            key = lambda b: tuple(map(rank_of.__getitem__, ambient[b]))
+        order = sorted(range(len(coords)), key=key)
         pos = [0] * len(order)
         for t, b in enumerate(order):
             pos[b] = t
-        self.roots = tuple(tuple(scalars[v] for v in ambient[b]) for b in order)
-        self.root_index = {r: t for t, r in enumerate(self.roots)}
+        self._ambient = tuple(ambient[b] for b in order)
         self.simple_ids = tuple(pos[:rank])
         self.simple_coordinates = tuple(coords[b] for b in order)
 
@@ -484,6 +466,16 @@ class CoxeterSystem:
     # dot-product complement, which every group element fixes pointwise.  H3
     # and H4 blocks use the simple-root basis, so their roots span their own
     # block and the complement lies in the blocks whose form is the dot product.
+
+    @cached_property
+    def roots(self):
+        """The positive roots as ambient ``Scalar`` vectors, in index order."""
+        halves = {v: _half_scalar(v) for v in set().union(*self._ambient)}
+        return tuple(tuple(map(halves.__getitem__, a)) for a in self._ambient)
+
+    @cached_property
+    def root_index(self):
+        return {r: t for t, r in enumerate(self.roots)}
 
     @cached_property
     def _complement(self):

@@ -9,10 +9,10 @@ class _PositionedError(DualcoxError, ValueError):
     """Input error that may name the offending position in the input text."""
 
     def __init__(self, message, position=None):
+        self.reason, self.position = message, position
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
-        self.position = position
 
 
 class UnsupportedTypeError(_PositionedError):

@@ -14,6 +14,9 @@ Construction is limited by the number N of positive roots, because every
 group stores the images of the 2N signed roots under each of its N
 reflections.  Up to 2N = 256 an entry is one byte; above that, A62 among
 them, it is a tuple entry of 8 bytes: about 61 MB at A62.
+
+A rank or an index is read from at most ``MAX_DIGITS`` digits after its
+leading zeros; ``int`` refuses text past 4300 digits.
 """
 
 import os
@@ -21,6 +24,7 @@ import os
 DEFAULT_RED_CAP = 10**6
 DEFAULT_ENUM_CAP = 10**5
 MAX_ROOTS = 2000
+MAX_DIGITS = 100
 
 ENV_VAR = "DUALCOX_CAP"
 
@@ -37,3 +41,13 @@ def env_cap():
     if value <= 0:
         raise ValueError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
     return value
+
+
+def read_int(digits: str, error, position: int) -> int:
+    """int(digits), or ``error`` raised at ``position`` when the number has
+    more than MAX_DIGITS digits after its leading zeros."""
+    significant = digits.lstrip("0") or "0"
+    if len(significant) > MAX_DIGITS:
+        raise error(f"number of {len(digits)} digits is too long; at most "
+                    f"{MAX_DIGITS} are read after leading zeros", position=position)
+    return int(significant)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
+from . import rootdata
 from .coxeter import CoxeterSystem, Element, _element_from_root_map
 from .errors import WordParseError
 
@@ -84,13 +85,14 @@ def _single_family(g: CoxeterSystem, families: str) -> str:
 def _window(x: Element) -> list:
     """Signed images of the axes 1..n, composed along ``x.s_word()``.
 
-    A simple root is c_a e_a + c_b e_b, or c_a e_a taken with b = a, for
-    signs c; its reflection sends e_a to -c_a c_b e_b and e_b to -c_a c_b e_a.
+    A simple root of ``rootdata`` is a positive multiple of c_a e_a + c_b e_b,
+    or of c_a e_a taken with b = a, for signs c; its reflection sends e_a to
+    -c_a c_b e_b and e_b to -c_a c_b e_a.
     """
     g = x.group
     moves = []
-    for root in g.simple_roots:
-        (a, ca), *other = [(k, c.sign()) for k, c in enumerate(root) if c]
+    for root in rootdata.simple_root_block(*g.descriptor.components[0])[1]:
+        (a, ca), *other = [(k, 1 if c > 0 else -1) for k, c in enumerate(root) if c]
         (b, cb), = other or [(a, ca)]
         moves.append((a, b, -ca * cb))
     window = list(range(1, g.ambient_dim + 1))

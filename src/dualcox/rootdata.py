@@ -1,5 +1,7 @@
-"""Simple-root tables, invariant bilinear forms, and classical constants.
+"""Simple-root tables and classical constants.
 
+Every simple root is stated in integers, twice over, so the half-integer
+coordinates of E8 and F4 become +-1 and every other coordinate +-2.
 Crystallographic families use their classical coordinates, where the
 invariant form is the standard dot product:
 
@@ -12,61 +14,36 @@ invariant form is the standard dot product:
 * ``F4, G2`` with their standard integer embeddings.
 
 ``H3`` and ``H4`` do not fit in rational coordinates; they use the basis of
-simple roots itself, carrying the invariant form with entries -cos(pi/m) in
-Q(sqrt 5).  Dihedral types ``I2(m)`` other than ``A2``, ``B2`` and ``G2`` are
-handled by a combinatorial model elsewhere and have no entry here.
+simple roots itself, and the invariant form, with entries -cos(pi/m) in
+Q(sqrt 5), is given by the Coxeter orders m of the pairs of simple roots.
+Dihedral types ``I2(m)`` other than ``A2``, ``B2`` and ``G2`` are handled by
+a combinatorial model elsewhere and have no entry here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
-from .algebra import Scalar
 
-HALF = Fraction(1, 2)
-#: cos(pi/5) = (1 + sqrt5)/4
-COS_PI_5 = Scalar(Fraction(1, 4), Fraction(1, 4))
-COS_PI_3 = Scalar(HALF)
-
-
-def _basis_form(orders: dict[tuple[int, int], int], rank: int):
-    """Invariant form for simple roots taken as the standard basis."""
-    cos = {2: Scalar(0), 3: COS_PI_3, 5: COS_PI_5}
-    rows = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            if i == j:
-                row.append(Scalar(1))
-            else:
-                m = orders.get((min(i, j), max(i, j)), 2)
-                row.append(-cos[m])
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _e(i, dim, value=1):
+def _e(i, dim):
     v = [0] * dim
-    v[i] = value
+    v[i] = 2
     return v
 
 
 def _diff(i, j, dim):
     v = [0] * dim
-    v[i] = 1
-    v[j] = -1
+    v[i] = 2
+    v[j] = -2
     return v
 
 
-_E8_FIRST = [HALF, -HALF, -HALF, -HALF, -HALF, -HALF, -HALF, HALF]
-
-
 def simple_root_block(family: str, n: int):
-    """(ambient dimension, simple roots, form rows or None) for one component.
+    """(ambient dimension, doubled simple roots, Coxeter orders or None).
 
-    A ``None`` form means the standard dot product on the ambient
-    coordinates.
+    The orders ``{(i, j): m}``, i < j, with m = 2 left out, give the
+    invariant form on the simple-root basis; ``None`` means the standard
+    dot product on the ambient coordinates.
     """
     if family == "A":
         dim = n + 1
@@ -81,15 +58,15 @@ def simple_root_block(family: str, n: int):
         # s0 is the paired sign change on the first two coordinates, s_i the
         # transposition (i, i+1); the fork of the diagram sits at s2.
         first = [0] * n
-        first[0] = first[1] = -1
+        first[0] = first[1] = -2
         roots = [first] + [_diff(i - 1, i, n) for i in range(1, n)]
         return n, roots, None
     if family == "E":
         dim = 8
         roots = [
-            list(_E8_FIRST),
-            [1, 1, 0, 0, 0, 0, 0, 0],
-            [-1, 1, 0, 0, 0, 0, 0, 0],
+            [1, -1, -1, -1, -1, -1, -1, 1],
+            [2, 2, 0, 0, 0, 0, 0, 0],
+            [-2, 2, 0, 0, 0, 0, 0, 0],
             _diff(2, 1, dim),
             _diff(3, 2, dim),
             _diff(4, 3, dim),
@@ -99,19 +76,19 @@ def simple_root_block(family: str, n: int):
         return dim, roots[:n], None
     if family == "F":
         roots = [
-            [0, 1, -1, 0],
-            [0, 0, 1, -1],
-            [0, 0, 0, 1],
-            [HALF, -HALF, -HALF, -HALF],
+            [0, 2, -2, 0],
+            [0, 0, 2, -2],
+            [0, 0, 0, 2],
+            [1, -1, -1, -1],
         ]
         return 4, roots, None
     if family == "G":
-        return 3, [[1, -1, 0], [-2, 1, 1]], None
+        return 3, [[2, -2, 0], [-4, 2, 2]], None
     if family == "H":
         orders = {(0, 1): 5, (1, 2): 3, (2, 3): 3}
         orders = {k: v for k, v in orders.items() if k[1] < n}
         roots = [_e(i, n) for i in range(n)]
-        return n, roots, _basis_form(orders, n)
+        return n, roots, orders
     raise ValueError(f"unknown family {family!r}")
 
 

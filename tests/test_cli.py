@@ -11,7 +11,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dualcox import CoxeterDescriptor, cli, suites
+from dualcox import (
+    CoxeterDescriptor, UnsupportedTypeError, WordParseError, build_group, cli, suites,
+)
+
+_LONG = "9" * 5000  # int() refuses text of more than 4300 digits
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +276,42 @@ class TestDeterminismAndErrors:
         assert cli.run(["reflen", "A3", flag, text]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("dualcox: usage error: bad simple-word token")
+
+    def test_error_in_parentheses_counts_from_the_start(self):
+        with pytest.raises(WordParseError, match=r"index 9 .*\(at position 7\)$"):
+            cli.parse_refl_word(build_group("A3"), "t0 t1 (s9)")
+
+    @pytest.mark.parametrize("parser, text, position", [
+        ("type", "B2xA" + _LONG, 3),
+        ("simple", "0 s" + _LONG, 2),
+        ("reflection", "t0 t" + _LONG, 3),
+    ])
+    def test_long_numbers_are_refused_before_int(self, parser, text, position):
+        g = build_group("A3")
+        parse = {"type": CoxeterDescriptor.parse,
+                 "simple": lambda text: cli.parse_simple_word(g, text),
+                 "reflection": lambda text: cli.parse_refl_word(g, text)}[parser]
+        with pytest.raises((UnsupportedTypeError, WordParseError),
+                           match=rf"^number of 5000 digits is too long.*"
+                                 rf"\(at position {position}\)$"):
+            parse(text)
+
+    @pytest.mark.parametrize("argv", [["info", "A" + _LONG],
+                                      ["reflen", "A3", "-w", _LONG],
+                                      ["reflen", "A3", "-r", "t" + _LONG]])
+    def test_long_numbers_are_a_usage_error(self, capsys, argv):
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("dualcox: usage error: number of 5000 digits")
+
+    @pytest.mark.parametrize("argv, short", [
+        (["info", "A" + "0" * 5000 + "3"], ["info", "A3"]),
+        (["reflen", "A3", "-w", "0" * 5000 + "1"], ["reflen", "A3", "-w", "1"]),
+        (["reflen", "A3", "-r", "t" + "0" * 5000 + "5"], ["reflen", "A3", "-r", "t5"]),
+    ])
+    def test_leading_zeros_are_read(self, capsys, argv, short):
+        assert run_json(capsys, argv + ["--json"]) == run_json(capsys, short + ["--json"])
 
     def test_unwritable_dot_path_is_a_domain_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "g.dot"

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from construction import _ambient_simples_and_form, _compose, reference_tables
@@ -22,7 +23,7 @@ from dualcox import (
     enumerate_group,
 )
 from dualcox import (
-    coxeter, cycles, dual, full_subgroup, hurwitz, permmodel, reflection_closure,
+    cli, coxeter, cycles, dual, full_subgroup, hurwitz, permmodel, reflection_closure,
     subgroups, suites,
 )
 from dualcox.algebra import Matrix, Scalar, vec_dot
@@ -155,7 +156,8 @@ class TestBuild:
         assert [m[2][j] for j in (0, 1, 3)] == [3, 3, 3]
         assert m[0][1] == m[0][3] == m[1][3] == 2
 
-    @pytest.mark.parametrize("name", LINEAR_TYPES)
+    @pytest.mark.parametrize(
+        "name", LINEAR_TYPES + ("B2xH3", "H4xA2", "A12", "B8", "D8"))
     def test_tables_match_the_closure_oracle(self, name):
         roots, simple_ids, images, coxeter_matrix = reference_tables(name)
         g = build_group(name)
@@ -165,6 +167,35 @@ class TestBuild:
         assert all(tuple(r.images[1::2]) == tuple(e ^ 1 for e in r.images[0::2])
                    for r in g.reflections)
         assert g.coxeter_matrix == coxeter_matrix
+
+    def test_integer_sign_matches_the_scalar_sign(self):
+        # p + q*phi = (p + q/2) + (q/2) sqrt5
+        for p in range(-40, 41):
+            for q in range(-40, 41):
+                half = Fraction(q, 2)
+                assert coxeter._sign(p, q) == Scalar(p + half, half).sign(), (p, q)
+
+    def test_construction_forms_no_scalar(self, capsys, monkeypatch):
+        """Groups are built, and the hot verbs answer, in integers only."""
+
+        def refuse(self, *args):
+            raise AssertionError("a Scalar was formed")
+
+        monkeypatch.setattr(coxeter, "_BUILD_CACHE", {})
+        monkeypatch.setattr(Scalar, "__init__", refuse)
+        for name in LINEAR_TYPES:
+            build_group(name)
+        for argv in (["reflen", "H4", "-w", "0 1 2 3 0"],
+                     ["closure", "E6", "-w", "0 2 4"],
+                     ["reds", "B4", "-w", "0 1 2 3", "--count"],
+                     ["cycledec", "D5", "-w", "0 1 2 3 4"],
+                     ["indec", "H3xG2", "-w", "0 1 2 3 4"],
+                     ["perm", "A6", "-w", "0 1 0 3 5 4"],
+                     ["perm", "D5", "-w", "0 1 2 3 4"]):
+            assert cli.run(argv + ["--json"]) == 0, argv
+        capsys.readouterr()
+        with pytest.raises(AssertionError, match="a Scalar was formed"):
+            build_group("B3").roots
 
     def test_concurrent_builds_share_one_system(self, monkeypatch):
         monkeypatch.setattr(coxeter, "_BUILD_CACHE", {})
