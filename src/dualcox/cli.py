@@ -34,7 +34,7 @@ from .coxeter import (
     element_from_simple_word,
 )
 from .errors import DualcoxError, UnsupportedTypeError, WordParseError
-from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP, env_cap, read_int
+from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP, MAX_INFO_RANK, env_cap, quoted, read_int
 
 _LETTER_INDEX = {"s": 0, "t": 1, "u": 2, "v": 3}
 
@@ -210,6 +210,9 @@ def _orbit_dot(g, orbits, path):
 
 def _cmd_info(args):
     descriptor = CoxeterDescriptor.parse(args.group)
+    if descriptor.rank > MAX_INFO_RANK:
+        raise DualcoxError(f"{descriptor} has rank {descriptor.rank}; info is limited "
+                           f"to rank {MAX_INFO_RANK}")
     if args.roots and descriptor.is_dihedral_model:
         raise DualcoxError(
             f"{descriptor} uses the combinatorial dihedral model; "
@@ -413,7 +416,7 @@ def _build_parser():
         p.add_argument("group", help='type string, e.g. "A4", "B2xB2", "I2(7)"')
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         if cap:
-            p.add_argument("--cap", type=int, default=None,
+            p.add_argument("--cap", type=_cap, default=None,
                            help="enumeration cap (also via DUALCOX_CAP)")
         if element:
             p.add_argument("-w", "--word", default=None,
@@ -455,6 +458,14 @@ def _build_parser():
                         help="one of: " + ", ".join(sorted(suites.SUITES)) + ", all")
     verify.add_argument("--json", action="store_true")
     return parser
+
+
+def _cap(text: str) -> int:
+    """The --cap value; a bad one is quoted by its first characters only."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
 
 
 def run(argv) -> int:

@@ -45,6 +45,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, reduce
+from itertools import count
 from operator import attrgetter, itemgetter, mul
 
 from . import rootdata
@@ -340,6 +341,11 @@ def _search_roots(cartan, rank: int, width: int):
     return coords, parent, simple_rows
 
 
+# the interval graph of ``dual``: node ids by ``images``, the node and its
+# edges by id, and the source of fresh ids
+_IntervalGraph = namedtuple("_IntervalGraph", "nodes elements edges ids")
+
+
 class CoxeterSystem:
     """Immutable context for one finite Coxeter group.
 
@@ -510,8 +516,7 @@ class CoxeterSystem:
         They are rebuilt on demand; interned subgroups are kept.
         """
         self._below_cache = {}
-        self._interval_edges = {}
-        self._interval_nodes = {}
+        self._interval = _IntervalGraph({}, {}, {}, count())
         self._closed_sets = {}
         self._orbit_tables = {}
         self._all_elements = None
@@ -578,12 +583,12 @@ def element_from_refl_word(g: CoxeterSystem, word) -> Element:
     return _word_product(g, g.reflections, word, "reflection")
 
 
-def breadth_first(root: Element, step, cap: int, overflow,
+def breadth_first(root, step, cap: int, overflow,
                   key=attrgetter("images")) -> list:
     """(element, distance) for every element reachable from ``root``.
 
     ``step(x)`` yields the neighbours of x; the seen-set is keyed by
-    ``key(x)``: ``images``, or ``id`` when every element is interned.  When
+    ``key(x)``: ``images``, or ``int`` for the node ids of ``dual``.  When
     a new element would make more than ``cap``, ``overflow(built,
     distance)`` builds the error raised, from the number of elements built
     so far and the distance being reached.
@@ -639,20 +644,22 @@ def enumerate_group(g: CoxeterSystem, cap: int = DEFAULT_ENUM_CAP):
     return g._all_elements
 
 
-def _element_from_root_map(g: CoxeterSystem, image) -> Element:
-    """Element of g sending each root r to the signed root ``image(r)``.
+def _element_from_root_map(g: CoxeterSystem, roots, image) -> Element:
+    """Element of g sending each of ``roots``, the positive roots in index
+    order, to the signed root ``image(root)``.
 
     Raises ValueError unless the map permutes the roots and its descent walk
     reaches 1: -I permutes the roots of A2, but is not in W.
     """
+    index = {r: t for t, r in enumerate(roots)}
     images = []
-    for root in g.roots:
+    for root in roots:
         img = image(root)
-        k = g.root_index.get(img)
+        k = index.get(img)
         if k is not None:
             images.append(k << 1)
             continue
-        k = g.root_index.get(vec_neg(img))
+        k = index.get(vec_neg(img))
         if k is None:
             raise ValueError("the map does not permute the root system")
         images.append((k << 1) | 1)
@@ -672,7 +679,7 @@ def element_from_matrix(g: CoxeterSystem, m: Matrix) -> Element:
         raise NoLinearModelError(f"{g.type_string} has no matrix model")
     if m.n_rows != g.ambient_dim or m.n_cols != g.ambient_dim:
         raise ValueError("matrix has the wrong shape for this group")
-    x = _element_from_root_map(g, m.apply)
+    x = _element_from_root_map(g, g.roots, m.apply)
     # every element fixes the complement of the roots' span pointwise
     if any(m.apply(v) != v for v in g._complement):
         raise ValueError("matrix moves the complement of the roots' span")

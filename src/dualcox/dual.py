@@ -21,10 +21,11 @@ and the reduced words of w are exactly its paths from w down to the
 identity.  For a Coxeter element the interval is the noncrossing-partition
 lattice (Bessis, *The dual braid monoid*, 2003), far smaller than the word
 count: 833 elements against 41,472 words in E6.  The graph is expanded
-lazily and cached per group, one product per edge, with every node interned
-by its root action, so listing the words forms no product per word,
-counting them is a sum over the nodes, and a second listing reuses the
-graph.  The test suite keeps the product-per-word tree walk as the oracle.
+lazily and cached per group, one product per edge, every node numbered once
+by its root action and its edges (t, child id) pairs of ints, so listing
+the words forms no product and hashes no element per word, counting them
+is one pass over the ids, and a second listing reuses the graph.  The test
+suite keeps the product-per-word tree walk as the oracle.
 """
 
 from __future__ import annotations
@@ -127,38 +128,50 @@ def first_reduced_word(x: Element, letters=None) -> tuple:
     return tuple(word)
 
 
-def _edges(y: Element) -> tuple:
-    """Edges (t, t y) of the interval graph out of y, in ascending t.
+def _node(graph, y: Element) -> int:
+    """Id of the interval node with the root action of y, numbered on first
+    sight; whoever returns an id has stored its node, so threads agree."""
+    i = graph.nodes.get(y.images)
+    if i is None:
+        i = graph.nodes.setdefault(y.images, next(graph.ids))
+    graph.elements.setdefault(i, y)
+    return i
+
+
+def _edges(graph, i: int) -> tuple:
+    """Edges (t, id of t y) of the interval graph out of node i = y, in
+    ascending t.
 
     One product per edge, computed the first time y is expanded and cached
-    per group, keyed by the node, which hashes its ``images`` once.  Every
-    child is interned, so an element reached from several parents is
-    stored once; only the identity has no edges.
+    by id.  Every child is numbered once, so an element reached from
+    several parents is one node; only the identity has no edges.
     """
-    g = y.group
-    edges = g._interval_edges.get(y)
+    edges = graph.edges.get(i)
     if edges is None:
-        nodes = g._interval_nodes
-        refl = g.reflections
-        children = ((t, refl[t] * y) for t in sorted(below_reflections(y)))
-        edges = tuple((t, nodes.setdefault(z.images, z)) for t, z in children)
-        edges = g._interval_edges.setdefault(y, edges)
+        y = graph.elements[i]
+        refl = y.group.reflections
+        edges = tuple((t, _node(graph, refl[t] * y)) for t in sorted(below_reflections(y)))
+        edges = graph.edges.setdefault(i, edges)
     return edges
 
 
 def interval(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
     """(y, l(x) - l(y)) for every y in the absolute interval [1, x].
 
-    Breadth-first from x along the interval graph, over nodes interned by
-    ``images``, so the seen-set is keyed by ``id``.  Every edge lowers reflection length by
-    one, so the distance from x is the drop in length and the list runs by
-    decreasing length, down to the identity.  Raises CapExceededError when
-    [1, x] has more than ``cap`` elements, however much of the graph is
-    already cached.
+    Breadth-first from x along the interval graph, over node ids.  Every
+    edge lowers reflection length by one, so the distance from x is the
+    drop in length and the list runs by decreasing length, down to the
+    identity.  Raises CapExceededError when [1, x] has more than ``cap``
+    elements, however much of the graph is already cached.
     """
-    root = x.group._interval_nodes.setdefault(x.images, x)
-    return breadth_first(root, lambda y: [z for _, z in _edges(y)], cap,
-                         _overflow(x, cap), key=id)
+    graph = x.group._interval
+    return [(graph.elements[i], d) for i, d in _walk(graph, x, cap)]
+
+
+def _walk(graph, x: Element, cap: int) -> list:
+    """:func:`interval` as (node id, depth) pairs."""
+    return breadth_first(_node(graph, x), lambda i: [j for _, j in _edges(graph, i)],
+                         cap, _overflow(x, cap), key=int)
 
 
 def _overflow(x: Element, cap: int):
@@ -178,15 +191,15 @@ def count_reduced(x: Element, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of reduced reflection words of x, without listing them.
 
     #Red(1) = 1 and #Red(y) is the sum of #Red(t y) over the edges out of y,
-    summed over [1, x] from the identity up.  ``cap`` bounds the size of
-    [1, x], as in :func:`interval`.
+    summed over the ids of [1, x] from the identity up.  ``cap`` bounds the
+    size of [1, x], as in :func:`interval`.
     """
-    nodes = interval(x, cap)
-    count = {}  # by id: the nodes of the interval are interned
-    for y, _ in reversed(nodes):
-        edges = _edges(y)
-        count[id(y)] = sum(count[id(z)] for _, z in edges) if edges else 1
-    return count[id(nodes[0][0])]
+    graph = x.group._interval
+    count = {}
+    for i, _ in reversed(_walk(graph, x, cap)):  # x comes last
+        edges = graph.edges[i]
+        count[i] = sum(count[j] for _, j in edges) if edges else 1
+    return count[i]
 
 
 def iter_reduced(x: Element, letters=None):
@@ -194,19 +207,23 @@ def iter_reduced(x: Element, letters=None):
 
     Each word (t_1, ..., t_k) satisfies t_1 t_2 ... t_k = x with k the
     reflection length.  The words are the paths from x down to the identity
-    in the interval graph, read depth first with ascending letters, so each
-    is emitted exactly once.
+    in the interval graph, read depth first over node ids with ascending
+    letters, so each is emitted exactly once.
     """
     if x.is_identity():
         yield ()
         return
+    graph = x.group._interval
+    cached = graph.edges
     word = []
-    stack = [iter(_edges(x))]
+    stack = [iter(_edges(graph, _node(graph, x)))]
     while stack:
-        for t, y in stack[-1]:
+        for t, i in stack[-1]:
             if letters is not None and t not in letters:
                 continue
-            below = _edges(y)
+            below = cached.get(i)
+            if below is None:
+                below = _edges(graph, i)
             if below:
                 word.append(t)
                 stack.append(iter(below))

@@ -14,8 +14,8 @@ orbits are therefore the fibres of the map from a word to the subgroup it
 generates.  They are found without listing a word: every node y of the
 cached interval graph of ``dual`` gets a table counting its reduced words
 by the closed reflection set they generate, built from the tables of the
-nodes one step below and kept per group with a bound on the size of
-[1, y], so the orbits of x are read off its own table, and a search on
+nodes one step below and kept per group by node id, with a bound on the
+size of [1, y], so the orbits of x are read off its own table, and a search on
 stored tables counts [1, x] against its cap only when that bound exceeds
 it; ``hurwitz_orbits`` then lists each orbit's words over its
 subgroup's letters.  The tests keep a search along single moves and the
@@ -64,45 +64,46 @@ def orbit_search(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
     closed reflection set S to the number of reduced words of y that
     generate S: the identity has {empty set: 1}, and y sums, over its edges
     (t, t y), the table of t y with each S joined with t.  The tables are
-    kept per group, each with the bound 1 + the sum of its children's
-    bounds on the size of [1, y]; only the nodes below x without a table
-    are walked, and filled children first.  The words of x generating S
-    form one orbit (see the module docstring); its representative, the
-    least word of x over S, is the first word ``dual.iter_reduced`` yields
-    over the letters S: length in the subgroup S generates is length in W,
-    so that walk meets no dead end.  ``cap`` bounds the size of [1, x], as
-    in ``dual.interval``: the fill raises that function's error, with its
-    own count and depth, when more than ``cap`` nodes lack a table, and all
-    of [1, x] is walked again only when the bound of x exceeds ``cap``.  A
+    kept per group by node id, each with the bound 1 + the sum of its
+    children's bounds on the size of [1, y]; only the nodes below x without
+    a table are walked, and filled children first.  The words of x
+    generating S form one orbit (see the module docstring); its
+    representative, the least word of x over S, is the first word
+    ``dual.iter_reduced`` yields over the letters S, on the same node ids:
+    length in the subgroup S generates is length in W, so that walk meets
+    no dead end.  ``cap`` bounds the size of [1, x], as in
+    ``dual.interval``: the fill raises that function's error, with its own
+    count and depth, when more than ``cap`` nodes lack a table, and all of
+    [1, x] is walked again only when the bound of x exceeds ``cap``.  A
     walk of all of [1, x], that one or the fill on a group without tables,
     stores its size as the bound of x, so it is not walked again.
     """
     g = x.group
-    tables = g._orbit_tables
-    root = g._interval_nodes.setdefault(x.images, x)
+    graph, tables = g._interval, g._orbit_tables  # tables by node id
+    root = dual._node(graph, x)
     if root not in tables:  # every node below a table has one
         whole = not tables  # then the walk is all of [1, x]
 
-        def untabled(y):
-            return [z for _, z in dual._edges(y) if z not in tables]
+        def untabled(i):
+            return [j for _, j in dual._edges(graph, i) if j not in tables]
 
-        fresh = breadth_first(root, untabled, cap, dual._overflow(x, cap), key=id)
-        for y, _ in reversed(fresh):
+        fresh = breadth_first(root, untabled, cap, dual._overflow(x, cap), key=int)
+        for i, _ in reversed(fresh):
             table, bound = {}, 1
-            for t, z in dual._edges(y):
-                below, size = tables[z]
+            for t, j in graph.edges[i]:
+                below, size = tables[j]
                 bound += size
                 for closed, n in below.items():
                     joined = subgroups.join(g, closed, t)
                     table[joined] = table.get(joined, 0) + n
-            tables[y] = table or {frozenset(): 1}, bound
+            tables[i] = table or {frozenset(): 1}, bound
         if whole:
             tables[root] = tables[root][0], len(fresh)
     table, bound = tables[root]
     if bound > cap:  # raises exactly when [1, x] has more than cap elements
-        tables[root] = table, len(dual.interval(x, cap))
+        tables[root] = table, len(dual._walk(graph, x, cap))
 
-    orbits = (HurwitzOrbit(next(dual.iter_reduced(root, S)), n, None,
+    orbits = (HurwitzOrbit(next(dual.iter_reduced(x, S)), n, None,
                            subgroups._get_subgroup(g, S))
               for S, n in table.items())
     return sorted(orbits, key=lambda orbit: orbit.representative)

@@ -16,7 +16,9 @@ reflections.  Up to 2N = 256 an entry is one byte; above that, A62 among
 them, it is a tuple entry of 8 bytes: about 61 MB at A62.
 
 A rank or an index is read from at most ``MAX_DIGITS`` digits after its
-leading zeros; ``int`` refuses text past 4300 digits.
+leading zeros; ``int`` refuses text past 4300 digits.  ``info`` refuses a
+total rank above ``MAX_INFO_RANK`` before it computes the order; the
+largest order it prints, of B1000 or D1000, has 2869 digits.
 """
 
 import os
@@ -25,6 +27,7 @@ DEFAULT_RED_CAP = 10**6
 DEFAULT_ENUM_CAP = 10**5
 MAX_ROOTS = 2000
 MAX_DIGITS = 100
+MAX_INFO_RANK = 1000
 
 ENV_VAR = "DUALCOX_CAP"
 
@@ -37,10 +40,16 @@ def env_cap():
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{ENV_VAR} must be a positive integer, got {raw!r}") from None
+        value = 0
     if value <= 0:
-        raise ValueError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
+        raise ValueError(f"{ENV_VAR} must be a positive integer, got {quoted(raw)}")
     return value
+
+
+def quoted(text: str, limit: int = 20) -> str:
+    """``text`` quoted for an error message, cut after ``limit`` characters."""
+    cut = f"... ({len(text)} characters)" if len(text) > limit else ""
+    return repr(text[:limit]) + cut
 
 
 def read_int(digits: str, error, position: int) -> int:

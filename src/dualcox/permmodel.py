@@ -124,7 +124,8 @@ def _from_window(g: CoxeterSystem, window) -> Element:
             img[abs(v) - 1] = c if v > 0 else -c
         return tuple(img)
 
-    return _element_from_root_map(g, image)
+    # twice the ambient coordinates, one int per axis: A, B and D have no phi
+    return _element_from_root_map(g, [tuple(p for p, in a) for a in g._ambient], image)
 
 
 def element_from_permutation(g: CoxeterSystem, p: Permutation) -> Element:

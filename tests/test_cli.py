@@ -1,5 +1,6 @@
 """Command line behaviour: formats, determinism, exit codes, schema."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,8 +13,10 @@ import jsonschema
 import pytest
 
 from dualcox import (
-    CoxeterDescriptor, UnsupportedTypeError, WordParseError, build_group, cli, suites,
+    CoxeterDescriptor, DualcoxError, UnsupportedTypeError, WordParseError, build_group,
+    cli, rootdata, suites,
 )
+from dualcox.limits import env_cap
 
 _LONG = "9" * 5000  # int() refuses text of more than 4300 digits
 
@@ -295,6 +298,48 @@ class TestDeterminismAndErrors:
                            match=rf"^number of 5000 digits is too long.*"
                                  rf"\(at position {position}\)$"):
             parse(text)
+
+    def test_long_cap_flag_is_not_echoed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["reds", "A3", "-w", "0 1", "--cap", _LONG])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err) < 400 and err.count("error:") == 1
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match=r"^invalid int value: '9{20}'\.\.\. \(5000 characters\)$"):
+            cli._cap(_LONG)
+
+    def test_long_environment_cap_is_not_echoed(self, capsys, monkeypatch):
+        monkeypatch.setenv("DUALCOX_CAP", _LONG)
+        assert cli.run(["reds", "A3", "-w", "0 1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and len(err) < 200
+        with pytest.raises(ValueError, match=r"^DUALCOX_CAP must be a positive integer, "
+                                             r"got '9{20}'\.\.\. \(5000 characters\)$"):
+            env_cap()
+
+    @pytest.mark.parametrize("group, rank", [
+        ("A99999999999", 99999999999), ("A2000", 2000), ("A1xA1000", 1001),
+    ])
+    def test_info_refuses_a_huge_rank_before_its_order(self, capsys, monkeypatch,
+                                                        group, rank):
+        def refuse(family, n):
+            raise AssertionError("an order was computed")
+
+        monkeypatch.setattr(rootdata, "component_order", refuse)
+        for extra in ([], ["--json"]):
+            assert cli.run(["info", group, *extra]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("dualcox: error: ")
+        args = cli._build_parser().parse_args(["info", group])
+        with pytest.raises(DualcoxError,
+                           match=rf"^{group} has rank {rank}; info is limited to rank 1000$"):
+            args.func(args)
+
+    def test_info_answers_up_to_the_rank_limit(self, capsys):
+        doc = run_json(capsys, ["info", "B1000", "--json"])
+        assert doc["rank"] == 1000 and len(str(doc["order"])) == 2869
 
     @pytest.mark.parametrize("argv", [["info", "A" + _LONG],
                                       ["reflen", "A3", "-w", _LONG],

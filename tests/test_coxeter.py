@@ -189,6 +189,8 @@ class TestBuild:
                      ["closure", "E6", "-w", "0 2 4"],
                      ["reds", "B4", "-w", "0 1 2 3", "--count"],
                      ["cycledec", "D5", "-w", "0 1 2 3 4"],
+                     ["cycledec", "B4", "-c", "(1,-2,-1,2)(3,4,-3,-4)", "--all-orbits"],
+                     ["cycledec", "D4", "-c", "(1,-2,-1,2)(3,-4,-3,4)"],
                      ["indec", "H3xG2", "-w", "0 1 2 3 4"],
                      ["perm", "A6", "-w", "0 1 0 3 5 4"],
                      ["perm", "D5", "-w", "0 1 2 3 4"]):

@@ -1,5 +1,7 @@
 """Reflection length, absolute order, reduced words, parabolic closure."""
 
+import sys
+import threading
 from collections import deque
 from itertools import islice
 from math import factorial
@@ -18,6 +20,7 @@ from dualcox import (
     CapExceededError,
     CoxeterDescriptor,
     CoxeterSystem,
+    Element,
     absolute_leq,
     below_reflections,
     build_group,
@@ -30,11 +33,13 @@ from dualcox import (
     interval,
     is_parabolic,
     iter_reduced,
+    orbit_search,
     parabolic_closure,
     reduced_expressions,
     reflection_below,
     reflection_length,
 )
+from dualcox.permmodel import element_from_signed, parse_cycles, signed_from_cycles
 
 
 def bfs_reflection_distance(g):
@@ -263,6 +268,75 @@ class TestIntervalGraph:
             assert (list(iter_reduced(x, letters))
                     == list(iter_reduced_by_tree(x, letters)))
 
+    @pytest.mark.parametrize("label", ["B4 cycles", "D4 quasi-Coxeter", "G2 stst", "F4 w0"])
+    def test_listing_of_the_words_elements_matches_the_word_tree(self, label):
+        # the non-Coxeter elements of the benchmark's ``words`` workload; the
+        # letter set leaves dead ends: an allowed first letter below x from
+        # which no word over the letters reaches 1
+        if label == "B4 cycles":
+            g = build_group("B4")
+            x = element_from_signed(
+                g, signed_from_cycles(4, parse_cycles("(1,-2,-1,2)(3,4,-3,-4)")))
+        else:
+            name, word = {"D4 quasi-Coxeter": ("D4", (1, 2, 1, 2, 2, 0, 2, 3)),
+                          "G2 stst": ("G2", (0, 1, 0, 1)),
+                          "F4 w0": ("F4", (0, 1, 2, 3) * 6)}[label]
+            g = build_group(name)
+            x = element_from_simple_word(g, word)
+        letters = frozenset(t for t in range(g.n_reflections) if t % 3 != 1)
+        assert any(not list(iter_reduced_by_tree(g.reflections[t] * x, letters))
+                   for t in letters & below_reflections(x))
+        assert list(iter_reduced(x)) == list(iter_reduced_by_tree(x))
+        restricted = list(iter_reduced(x, letters))
+        assert restricted == list(iter_reduced_by_tree(x, letters)) and restricted
+
+    def test_threads_share_one_numbering(self):
+        g = CoxeterSystem(CoxeterDescriptor.parse("E6"))  # private caches
+        c = coxeter_element(g)
+        barrier = threading.Barrier(4)
+        found = []
+
+        def listing():
+            barrier.wait()
+            found.append(reduced_expressions(c).words)
+
+        threads = [threading.Thread(target=listing) for _ in range(4)]
+        interval_s = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval_s)
+        assert not any(th.is_alive() for th in threads)
+        assert len(found) == 4 and all(words == found[0] for words in found)
+        assert len(found[0]) == 41472
+        graph = g._interval
+        assert len(graph.nodes) == len(graph.elements) == 833
+        assert all(graph.elements[i].images == images for images, i in graph.nodes.items())
+        assert set(graph.edges) <= set(graph.elements)
+
+    def test_warm_graph_forms_no_product(self, monkeypatch):
+        g = CoxeterSystem(CoxeterDescriptor.parse("E6"))  # private caches
+        c = coxeter_element(g)
+        words = reduced_expressions(c).words
+        nodes = len(g._interval.nodes)
+        products = []
+        multiply = Element.__mul__
+
+        def counted(a, b):
+            products.append(1)
+            return multiply(a, b)
+
+        monkeypatch.setattr(Element, "__mul__", counted)
+        assert count_reduced(c) == len(words) == 41472
+        assert len(interval(c)) == nodes == 833
+        assert [o.size for o in orbit_search(c)] == [41472]
+        assert [o.members for o in hurwitz_orbits(c)] == [words]
+        assert not products and len(g._interval.nodes) == nodes
+
     @pytest.mark.parametrize("name", WORD_GROUPS)
     def test_truncation_matches_the_word_tree(self, name):
         g = build_group(name)
@@ -318,14 +392,29 @@ class TestIntervalGraph:
         w = element_from_simple_word(g, (0, 1, 2) * 3)  # w0 = -1: several orbits
         orbits = hurwitz_orbits(w)
         enumerate_group(g)
-        assert g._below_cache and g._interval_edges and g._interval_nodes
+        graph = g._interval
+        assert g._below_cache and graph.nodes and graph.elements and graph.edges
         assert g._closed_sets and any(joins for _, _, joins in g._closed_sets.values())
-        assert w in g._orbit_tables and len(g._orbit_tables[w][0]) == len(orbits)
+        node = graph.nodes[w.images]
+        assert node in g._orbit_tables and len(g._orbit_tables[node][0]) == len(orbits)
         assert g._all_elements is not None
         g.clear_caches()
-        assert not (g._below_cache or g._interval_edges or g._interval_nodes)
+        graph = g._interval
+        assert not (g._below_cache or graph.nodes or graph.elements or graph.edges)
         assert not (g._closed_sets or g._orbit_tables)
         assert g._all_elements is None
         assert reduced_expressions(c).words == words
         assert count_reduced(c) == len(words) == 27
         assert hurwitz_orbits(w) == orbits and len(orbits) > 1
+
+    def test_listing_outlives_a_clear(self):
+        # a suspended listing keeps the graph, and its ids, it started on
+        g = CoxeterSystem(CoxeterDescriptor.parse("B3"))  # private caches
+        c = coxeter_element(g)
+        words = reduced_expressions(c).words
+        g.clear_caches()
+        listing = iter_reduced(c)
+        first = next(listing)
+        g.clear_caches()
+        assert count_reduced(element_from_simple_word(g, (0, 1, 2) * 3)) > 0
+        assert (first, *listing) == words

@@ -48,6 +48,11 @@ def stst():
     return g, element_from_simple_word(g, [0, 1, 0, 1])
 
 
+def _table(g, x):
+    """The stored (orbit table, bound) of x, through its interval node id."""
+    return g._orbit_tables[g._interval.nodes[x.images]]
+
+
 def sample_words(g, max_elements=24):
     """Reduced words of a few elements, as fodder for move identities."""
     words = []
@@ -186,7 +191,7 @@ class TestOrbits:
         g = CoxeterSystem(CoxeterDescriptor.parse("E6"))  # private caches
         c = element_from_simple_word(g, range(6))
         assert [o.size for o in orbit_search(c)] == [41472]
-        assert c in g._orbit_tables
+        assert g._interval.nodes[c.images] in g._orbit_tables
         with pytest.raises(CapExceededError, match="more than 100 elements"):
             orbit_search(c, cap=100)
         with pytest.raises(CapExceededError, match="more than 832 elements"):
@@ -208,7 +213,7 @@ class TestOrbits:
                 orbit_search(g.reflections[first_reduced_word(c)[0]] * c)
             if levels is None:
                 assert [o.size for o in orbit_search(c, cap=cap)] == [41472]
-                assert g._orbit_tables[c][1] == cap
+                assert _table(g, c)[1] == cap
                 continue
             with pytest.raises(
                 CapExceededError,
@@ -220,16 +225,17 @@ class TestOrbits:
 
     def test_search_inside_its_bound_walks_no_interval(self, monkeypatch):
         walks = []
+        walk = dual._walk
 
-        def spy(x, cap):
+        def spy(graph, x, cap):
             walks.append(x)
-            return interval(x, cap)
+            return walk(graph, x, cap)
 
-        monkeypatch.setattr(dual, "interval", spy)
+        monkeypatch.setattr(dual, "_walk", spy)
         g = CoxeterSystem(CoxeterDescriptor.parse("E6"))  # private caches
         c = element_from_simple_word(g, range(6))
         assert len(orbit_search(c, cap=833)) == 1 and not walks  # no table yet
-        assert g._orbit_tables[c][1] == 833  # the size of the walk, exact
+        assert _table(g, c)[1] == 833  # the size of the walk, exact
         assert len(orbit_search(c, cap=833)) == 1 and not walks  # warm
         g = CoxeterSystem(CoxeterDescriptor.parse("E6"))
         c = element_from_simple_word(g, range(6))
@@ -238,22 +244,23 @@ class TestOrbits:
         assert len(orbit_search(y)) == 1 and not walks  # no table yet
         assert len(orbit_search(x)) == 1 and not walks  # partial, bound within the cap
         assert len(orbit_search(x)) == 1 and not walks  # warm
-        assert g._orbit_tables[x][1] <= DEFAULT_ENUM_CAP
+        assert _table(g, x)[1] <= DEFAULT_ENUM_CAP
         assert len(orbit_search(c)) == 1 and walks == [c]  # bound above the cap
-        assert g._orbit_tables[c][1] == 833  # the size of that walk, exact
+        assert _table(g, c)[1] == 833  # the size of that walk, exact
         assert len(orbit_search(c)) == 1 and walks == [c]  # warm
 
     @pytest.mark.parametrize("cap", [100, 832])
     def test_refused_search_walks_once(self, monkeypatch, cap):
         # without tables the fill walk is the interval walk: it raises the
-        # error of dual.interval itself, without calling it
+        # error of the interval walk itself, without calling it
         walks = []
+        walk = dual._walk
 
-        def spy(x, cap):
+        def spy(graph, x, cap):
             walks.append(x)
-            return interval(x, cap)
+            return walk(graph, x, cap)
 
-        monkeypatch.setattr(dual, "interval", spy)
+        monkeypatch.setattr(dual, "_walk", spy)
         g = CoxeterSystem(CoxeterDescriptor.parse("E6"))  # private caches
         c = element_from_simple_word(g, range(6))
         with pytest.raises(CapExceededError) as refused:
@@ -328,7 +335,7 @@ def _check_representatives_and_bounds(x):
     for orbit in orbit_search(x):
         assert orbit.representative == first_reduced_word(
             x, letters=orbit.subgroup.refl_set)
-    assert x.group._orbit_tables[x][1] >= len(interval(x))
+    assert _table(x.group, x)[1] >= len(interval(x))
 
 
 @pytest.mark.parametrize("name", ["F4", "B4", "H3"])
