@@ -34,7 +34,7 @@ from .coxeter import (
     element_from_simple_word,
 )
 from .errors import DualcoxError, UnsupportedTypeError, WordParseError
-from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP, MAX_INFO_RANK, env_cap, quoted, read_int
+from .limits import DEFAULT_ENUM_CAP, DEFAULT_RED_CAP, MAX_INFO_RANK, read_int, requested_cap
 
 _LETTER_INDEX = {"s": 0, "t": 1, "u": 2, "v": 3}
 
@@ -211,7 +211,7 @@ def _orbit_dot(g, orbits, path):
 def _cmd_info(args):
     descriptor = CoxeterDescriptor.parse(args.group)
     if descriptor.rank > MAX_INFO_RANK:
-        raise DualcoxError(f"{descriptor} has rank {descriptor.rank}; info is limited "
+        raise DualcoxError(f"the type has rank {descriptor.rank}; info is limited "
                            f"to rank {MAX_INFO_RANK}")
     if args.roots and descriptor.is_dihedral_model:
         raise DualcoxError(
@@ -416,7 +416,7 @@ def _build_parser():
         p.add_argument("group", help='type string, e.g. "A4", "B2xB2", "I2(7)"')
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         if cap:
-            p.add_argument("--cap", type=_cap, default=None,
+            p.add_argument("--cap", default=None,
                            help="enumeration cap (also via DUALCOX_CAP)")
         if element:
             p.add_argument("-w", "--word", default=None,
@@ -460,25 +460,14 @@ def _build_parser():
     return parser
 
 
-def _cap(text: str) -> int:
-    """The --cap value; a bad one is quoted by its first characters only."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
-
-
 def run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if "cap" in args:  # only the enumerating verbs take a cap
         try:
-            cap = args.cap if args.cap is not None else env_cap()
+            cap = requested_cap(args.cap)
         except ValueError as exc:
-            print(f"dualcox: usage error: {exc}", file=sys.stderr)
-            return 2
-        if cap is not None and cap <= 0:
-            parser.error("--cap must be positive")
+            parser.error(str(exc))
         args.red_cap = cap if cap is not None else DEFAULT_RED_CAP
         args.enum_cap = cap if cap is not None else DEFAULT_ENUM_CAP
     try:

@@ -341,9 +341,9 @@ def _search_roots(cartan, rank: int, width: int):
     return coords, parent, simple_rows
 
 
-# the interval graph of ``dual``: node ids by ``images``, the node and its
-# edges by id, and the source of fresh ids
-_IntervalGraph = namedtuple("_IntervalGraph", "nodes elements edges ids")
+# the interval graph of ``dual``: node ids by ``images``; the node, its edges
+# and its orbit table (of ``hurwitz``) by id; and the source of fresh ids
+_IntervalGraph = namedtuple("_IntervalGraph", "nodes elements edges tables ids")
 
 
 class CoxeterSystem:
@@ -509,16 +509,15 @@ class CoxeterSystem:
         return tuple(self.roots[k] for k in self.simple_ids)
 
     def clear_caches(self):
-        """Drop the below-sets, the interval graph, the interned closed
-        reflection sets with their joins, the orbit tables of the interval
-        nodes, and the element listing.
+        """Drop the below-sets, the interval graph with the orbit tables of
+        its nodes, the interned closed reflection sets with their joins, and
+        the element listing.
 
         They are rebuilt on demand; interned subgroups are kept.
         """
         self._below_cache = {}
-        self._interval = _IntervalGraph({}, {}, {}, count())
+        self._interval = _IntervalGraph({}, {}, {}, {}, count())
         self._closed_sets = {}
-        self._orbit_tables = {}
         self._all_elements = None
 
     def reflection_index(self, x: Element) -> int | None:
@@ -644,16 +643,15 @@ def enumerate_group(g: CoxeterSystem, cap: int = DEFAULT_ENUM_CAP):
     return g._all_elements
 
 
-def _element_from_root_map(g: CoxeterSystem, roots, image) -> Element:
-    """Element of g sending each of ``roots``, the positive roots in index
-    order, to the signed root ``image(root)``.
+def _element_from_root_map(g: CoxeterSystem, index, image) -> Element:
+    """Element of g sending each root of ``index``, a dict from the positive
+    roots in index order to their indices, to the signed root ``image(root)``.
 
     Raises ValueError unless the map permutes the roots and its descent walk
     reaches 1: -I permutes the roots of A2, but is not in W.
     """
-    index = {r: t for t, r in enumerate(roots)}
     images = []
-    for root in roots:
+    for root in index:
         img = image(root)
         k = index.get(img)
         if k is not None:
@@ -679,7 +677,7 @@ def element_from_matrix(g: CoxeterSystem, m: Matrix) -> Element:
         raise NoLinearModelError(f"{g.type_string} has no matrix model")
     if m.n_rows != g.ambient_dim or m.n_cols != g.ambient_dim:
         raise ValueError("matrix has the wrong shape for this group")
-    x = _element_from_root_map(g, g.roots, m.apply)
+    x = _element_from_root_map(g, g.root_index, m.apply)
     # every element fixes the complement of the roots' span pointwise
     if any(m.apply(v) != v for v in g._complement):
         raise ValueError("matrix moves the complement of the roots' span")

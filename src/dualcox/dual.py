@@ -129,11 +129,10 @@ def first_reduced_word(x: Element, letters=None) -> tuple:
 
 
 def _node(graph, y: Element) -> int:
-    """Id of the interval node with the root action of y, numbered on first
-    sight; whoever returns an id has stored its node, so threads agree."""
-    i = graph.nodes.get(y.images)
-    if i is None:
-        i = graph.nodes.setdefault(y.images, next(graph.ids))
+    """Id of the interval node with the root action of y: the first id
+    drawn for it is kept, so ids may skip numbers, and whoever returns an id
+    has stored its node, so threads agree."""
+    i = graph.nodes.setdefault(y.images, next(graph.ids))
     graph.elements.setdefault(i, y)
     return i
 

@@ -79,7 +79,8 @@ def orbit_search(x: Element, cap: int = DEFAULT_ENUM_CAP) -> list:
     stores its size as the bound of x, so it is not walked again.
     """
     g = x.group
-    graph, tables = g._interval, g._orbit_tables  # tables by node id
+    graph = g._interval  # its ids and their tables are cleared together
+    tables = graph.tables
     root = dual._node(graph, x)
     if root not in tables:  # every node below a table has one
         whole = not tables  # then the walk is all of [1, x]

@@ -28,28 +28,26 @@ DEFAULT_ENUM_CAP = 10**5
 MAX_ROOTS = 2000
 MAX_DIGITS = 100
 MAX_INFO_RANK = 1000
+QUOTED_CHARS = 20
 
 ENV_VAR = "DUALCOX_CAP"
 
 
-def env_cap():
-    """Cap requested through the environment, or None."""
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
+def requested_cap(flag):
+    """The cap given by the ``--cap`` text ``flag``, else by the environment,
+    else None.  ValueError unless it is a positive integer, quoting at most
+    QUOTED_CHARS characters of a text that is no integer."""
+    name, text = ("--cap", flag) if flag is not None else (ENV_VAR, os.environ.get(ENV_VAR))
+    if text is None:
         return None
     try:
-        value = int(raw)
+        value = int(text)
     except ValueError:
-        value = 0
+        cut = f"... ({len(text)} characters)" if len(text) > QUOTED_CHARS else ""
+        raise ValueError(f"{name} must be an integer, got {text[:QUOTED_CHARS]!r}{cut}") from None
     if value <= 0:
-        raise ValueError(f"{ENV_VAR} must be a positive integer, got {quoted(raw)}")
+        raise ValueError(f"{name} must be positive")
     return value
-
-
-def quoted(text: str, limit: int = 20) -> str:
-    """``text`` quoted for an error message, cut after ``limit`` characters."""
-    cut = f"... ({len(text)} characters)" if len(text) > limit else ""
-    return repr(text[:limit]) + cut
 
 
 def read_int(digits: str, error, position: int) -> int:

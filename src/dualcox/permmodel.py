@@ -125,7 +125,8 @@ def _from_window(g: CoxeterSystem, window) -> Element:
         return tuple(img)
 
     # twice the ambient coordinates, one int per axis: A, B and D have no phi
-    return _element_from_root_map(g, [tuple(p for p, in a) for a in g._ambient], image)
+    index = {tuple(p for p, in a): t for t, a in enumerate(g._ambient)}
+    return _element_from_root_map(g, index, image)
 
 
 def element_from_permutation(g: CoxeterSystem, p: Permutation) -> Element:

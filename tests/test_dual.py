@@ -396,12 +396,12 @@ class TestIntervalGraph:
         assert g._below_cache and graph.nodes and graph.elements and graph.edges
         assert g._closed_sets and any(joins for _, _, joins in g._closed_sets.values())
         node = graph.nodes[w.images]
-        assert node in g._orbit_tables and len(g._orbit_tables[node][0]) == len(orbits)
+        assert node in graph.tables and len(graph.tables[node][0]) == len(orbits)
         assert g._all_elements is not None
         g.clear_caches()
         graph = g._interval
         assert not (g._below_cache or graph.nodes or graph.elements or graph.edges)
-        assert not (g._closed_sets or g._orbit_tables)
+        assert not (g._closed_sets or graph.tables)
         assert g._all_elements is None
         assert reduced_expressions(c).words == words
         assert count_reduced(c) == len(words) == 27

@@ -1,6 +1,7 @@
 """Braid moves on reduced words, orbits, and the quasi-Coxeter tests."""
 
 import random
+from itertools import count
 
 import pytest
 from wordtree import orbits_by_letter_sets, orbits_by_moves
@@ -23,8 +24,8 @@ from dualcox import (
     reflection_closure,
     reflection_length,
 )
-from dualcox import dual
-from dualcox.coxeter import CoxeterSystem
+from dualcox import dual, subgroups
+from dualcox.coxeter import CoxeterSystem, _IntervalGraph
 from dualcox.limits import DEFAULT_ENUM_CAP
 
 # (group, reduced simple word) of the elements whose words the benchmark lists
@@ -50,7 +51,8 @@ def stst():
 
 def _table(g, x):
     """The stored (orbit table, bound) of x, through its interval node id."""
-    return g._orbit_tables[g._interval.nodes[x.images]]
+    graph = g._interval
+    return graph.tables[graph.nodes[x.images]]
 
 
 def sample_words(g, max_elements=24):
@@ -191,7 +193,7 @@ class TestOrbits:
         g = CoxeterSystem(CoxeterDescriptor.parse("E6"))  # private caches
         c = element_from_simple_word(g, range(6))
         assert [o.size for o in orbit_search(c)] == [41472]
-        assert g._interval.nodes[c.images] in g._orbit_tables
+        assert g._interval.nodes[c.images] in g._interval.tables
         with pytest.raises(CapExceededError, match="more than 100 elements"):
             orbit_search(c, cap=100)
         with pytest.raises(CapExceededError, match="more than 832 elements"):
@@ -248,6 +250,37 @@ class TestOrbits:
         assert len(orbit_search(c)) == 1 and walks == [c]  # bound above the cap
         assert _table(g, c)[1] == 833  # the size of that walk, exact
         assert len(orbit_search(c)) == 1 and walks == [c]  # warm
+
+    def test_tables_go_with_their_graph(self, monkeypatch):
+        # node ids mean something in one graph only, so the tables keyed by
+        # them live in it: a fresh graph, as clear_caches swaps in, restarts
+        # the ids with no table, and a search that a clear interrupts keeps
+        # the graph it started on
+        g = CoxeterSystem(CoxeterDescriptor.parse("B3"))  # private caches
+        c = element_from_simple_word(g, (0, 1, 2))
+        w = element_from_simple_word(g, (0, 1, 2) * 3)  # w0 = -1: several orbits
+
+        def orbits(x):
+            return [(o.representative, o.size) for o in orbit_search(x)]
+
+        expected = orbits(w)
+        assert len(expected) > 1
+        g.clear_caches()
+        assert len(orbits(c)) == 1 and _table(g, c)
+        g._interval = _IntervalGraph({}, {}, {}, {}, count())  # the graph only
+        assert orbits(w) == expected
+        g.clear_caches()
+        join = subgroups.join
+        cleared = []
+
+        def clear_then_join(*args):
+            if not cleared:
+                cleared.append(g._interval)
+                g.clear_caches()
+            return join(*args)
+
+        monkeypatch.setattr(subgroups, "join", clear_then_join)
+        assert orbits(w) == expected and cleared[0] is not g._interval
 
     @pytest.mark.parametrize("cap", [100, 832])
     def test_refused_search_walks_once(self, monkeypatch, cap):
