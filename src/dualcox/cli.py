@@ -67,7 +67,6 @@ def parse_refl_word(g, text: str):
     """Reflection word: ``t<k>`` letters and parenthesized simple words."""
     word = []
     pos = 0
-    text = text.strip()
     while pos < len(text):
         ch = text[pos]
         if ch.isspace() or ch == "*":

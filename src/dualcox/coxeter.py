@@ -30,8 +30,7 @@ s_i s_beta s_i, a product of rows that needs no arithmetic; the rows are
 composed as tuples and packed into the container once.  The Coxeter
 matrix is read off these tables for every model: m_ij is the number of
 reflections in the dihedral subgroup <s_i, s_j>.  Matrices in the
-reflection representation are reconstructed on demand from the root action
-and cached.
+reflection representation are computed from the root action on each call.
 
 ``I2(m)`` for m not in {3, 4, 6} uses a combinatorial dihedral model that
 still exposes the signed action on m abstract "positive roots" (the
@@ -57,8 +56,6 @@ from .errors import (
     UnsupportedTypeError,
 )
 from .limits import DEFAULT_ENUM_CAP, MAX_ROOTS, read_int
-
-ReflWord = tuple  # tuple[int, ...]: reflection indices
 
 _FAMILY_BOUNDS = {
     "A": (1, None),
@@ -161,13 +158,11 @@ class Element:
     either gives an int when indexed.
     """
 
-    __slots__ = ("group", "images", "_hash", "_matrix")
+    __slots__ = ("group", "images")
 
     def __init__(self, group: "CoxeterSystem", images: bytes | tuple):
         self.group = group
         self.images = images
-        self._hash = None
-        self._matrix = None
 
     def __mul__(self, other: "Element") -> "Element":
         g = self.group
@@ -203,9 +198,7 @@ class Element:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.images)
-        return self._hash
+        return hash(self.images)
 
     def conjugate_reflection(self, t: int) -> int:
         """Index of self * t * self^-1, read off the root action."""
@@ -219,15 +212,13 @@ class Element:
                 f"{g.type_string} has no linear model; it uses the "
                 "combinatorial dihedral representation"
             )
-        if self._matrix is None:
-            cols = []
-            for k in g.simple_ids:
-                e = self.images[2 * k]
-                root = g.roots[e >> 1]
-                cols.append(vec_neg(root) if e & 1 else root)
-            cols.extend(g._complement)
-            self._matrix = Matrix.from_columns(cols) @ g._basis_inv
-        return self._matrix
+        cols = []
+        for k in g.simple_ids:
+            e = self.images[2 * k]
+            root = g.roots[e >> 1]
+            cols.append(vec_neg(root) if e & 1 else root)
+        cols.extend(g._complement)
+        return Matrix.from_columns(cols) @ g._basis_inv
 
     def s_word(self) -> tuple:
         """Canonical reduced word in the simple generators (descent walk).
@@ -364,7 +355,6 @@ class CoxeterSystem:
         self.descriptor = descriptor
         self.n_reflections = n_roots
         self.is_linear = not descriptor.is_dihedral_model
-        self.dihedral_m = None if self.is_linear else descriptor.components[0][1]
         # bytes.translate takes a 256-entry table: the points past 2N map
         # to themselves
         self._pad = bytes(range(2 * n_roots, 256)) if 2 * n_roots <= 256 else None
@@ -444,7 +434,7 @@ class CoxeterSystem:
         self._reflection_images = table
 
     def _build_dihedral(self):
-        m = self.dihedral_m
+        m = self.n_reflections
         self.ambient_dim = None
         self.roots = None
         self.root_index = None
@@ -628,18 +618,15 @@ def enumerate_group(g: CoxeterSystem, cap: int = DEFAULT_ENUM_CAP):
     """Every element exactly once, by BFS over the simple generators.
 
     The full listing is cached on the system after the first successful
-    sweep.  Raises GroupTooLargeError when the group has more than ``cap``
-    elements.
+    sweep.  Raises GroupTooLargeError, from the group's order and before
+    any sweep, when the group has more than ``cap`` elements.
     """
-    if g._all_elements is not None:
-        if len(g._all_elements) > cap:
-            raise GroupTooLargeError(
-                f"{g.type_string} has {len(g._all_elements)} elements, "
-                f"above the cap of {cap}",
-                cap=cap,
-            )
-        return g._all_elements
-    g._all_elements = tuple(x for x, _ in cayley_bfs(g, g.simple, cap))
+    if g.order > cap:
+        raise GroupTooLargeError(
+            f"{g.type_string} has {g.order} elements, above the cap of {cap}", cap=cap
+        )
+    if g._all_elements is None:
+        g._all_elements = tuple(x for x, _ in cayley_bfs(g, g.simple, cap))
     return g._all_elements
 
 

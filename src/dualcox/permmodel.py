@@ -191,13 +191,11 @@ _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
 
 
 def parse_cycles(text: str):
-    """Parse ``(1,-2)(3,4)`` into a list of integer tuples."""
-    text = text.strip()
-    if text in ("", "()"):
-        return []
-    pos = 0
+    """Parse ``(1,-2)(3,4)`` into integer tuples; error positions count blanks."""
+    pos = len(text) - len(text.lstrip())
+    end = pos + len(text.strip())
     cycles = []
-    for m in _CYCLE_TOKEN.finditer(text):
+    for m in _CYCLE_TOKEN.finditer(text, pos, end):
         if m.start() != pos:
             raise WordParseError("malformed cycle form", position=pos)
         body = m.group(1).strip()
@@ -213,7 +211,7 @@ def parse_cycles(text: str):
             raise WordParseError("cycle entries must be nonzero", position=m.start())
         cycles.append(entries)
         pos = m.end()
-    if pos != len(text):
+    if pos != end:
         raise WordParseError("malformed cycle form", position=pos)
     return cycles
 

@@ -20,7 +20,6 @@ subgroup lists its elements.
 from __future__ import annotations
 
 from . import dual, rootdata
-from .algebra import vec_neg
 from .coxeter import (
     _FAMILY_BOUNDS, _I2_ALIASES, CoxeterDescriptor, CoxeterSystem, Element,
     _close_under_conjugation, element_from_refl_word,
@@ -36,6 +35,10 @@ class ReflectionSubgroup:
     e.g. ``B2xB2``, or ``1``, formed from one ``(family, n)`` pair per
     component.  A component finds its generators from its own reflection
     set, as every other subgroup does.
+
+    Do not call the constructor directly; every function here hands out the
+    one subgroup interned per reflection set of a group, so subgroups
+    compare and hash by identity, as groups do.
     """
 
     __slots__ = (
@@ -63,16 +66,6 @@ class ReflectionSubgroup:
 
     def is_full(self) -> bool:
         return len(self.refl_set) == self.ambient.n_reflections
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ReflectionSubgroup)
-            and self.ambient is other.ambient
-            and self.refl_set == other.refl_set
-        )
-
-    def __hash__(self):
-        return hash((id(self.ambient), self.refl_set))
 
     def __repr__(self):
         return f"<{self.type_string} subgroup of {self.ambient.type_string}>"
@@ -263,8 +256,10 @@ def embed_by_roots(x: Element, target: CoxeterSystem) -> Element:
     if [c for c in g.descriptor.components if c[0] == "H"] != [
             c for c in target.descriptor.components if c[0] == "H"]:
         raise ValueError("H components differ; the ambient forms do not agree")
-    index = target.root_index
-    common = {t: index.get(r, index.get(vec_neg(r))) for t, r in enumerate(g.roots)}
+    # the doubled integer ambient tables; equal H components give equal widths
+    index = {r: t for t, a in enumerate(target._ambient)
+             for r in (a, tuple(tuple(-v for v in c) for c in a))}
+    common = {t: index.get(a) for t, a in enumerate(g._ambient)}
     letters = frozenset(t for t, k in common.items() if k is not None)
     try:
         word = dual.first_reduced_word(x, letters=letters)

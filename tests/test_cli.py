@@ -13,7 +13,7 @@ import pytest
 
 from dualcox import (
     CoxeterDescriptor, DualcoxError, UnsupportedTypeError, WordParseError, build_group,
-    cli, rootdata, suites,
+    cli, permmodel, rootdata, suites,
 )
 from dualcox.limits import requested_cap
 
@@ -282,6 +282,18 @@ class TestDeterminismAndErrors:
     def test_error_in_parentheses_counts_from_the_start(self):
         with pytest.raises(WordParseError, match=r"index 9 .*\(at position 7\)$"):
             cli.parse_refl_word(build_group("A3"), "t0 t1 (s9)")
+
+    @pytest.mark.parametrize("parser, text, message", [
+        ("reflection", "  t99", r"^reflection index 99 .*\(at position 2\)$"),
+        ("reflection", "  (s9)", r"^simple index 9 .*\(at position 3\)$"),
+        ("cycles", "  (1,2)x", r"^malformed cycle form \(at position 7\)$"),
+        ("cycles", "  (1,a)", r"^cycle entries must be integers \(at position 2\)$"),
+    ])
+    def test_positions_count_from_the_text_as_typed(self, parser, text, message):
+        parse = {"reflection": lambda text: cli.parse_refl_word(build_group("A2"), text),
+                 "cycles": permmodel.parse_cycles}[parser]
+        with pytest.raises(WordParseError, match=message):
+            parse(text)
 
     @pytest.mark.parametrize("parser, text, position", [
         ("type", "B2xA" + _LONG, 3),

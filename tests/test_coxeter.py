@@ -1,10 +1,12 @@
 """Group construction, elements, and the two word constructors."""
 
+import ast
 import random
 import re
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from construction import _ambient_simples_and_form, _compose, reference_tables
@@ -195,9 +197,38 @@ class TestBuild:
                      ["perm", "A6", "-w", "0 1 0 3 5 4"],
                      ["perm", "D5", "-w", "0 1 2 3 4"]):
             assert cli.run(argv + ["--json"]) == 0, argv
+        assert cli.run(["verify", "b4-embedding", "--json"]) == 0
         capsys.readouterr()
+        embedded = 0
+        for source, target in (("B4", "D4"), ("D4", "F4"), ("H3xA1", "B2xH3")):
+            t = build_group(target)
+            for x in enumerate_group(build_group(source)):
+                try:
+                    embedded += subgroups.embed_by_roots(x, t).group is t
+                except ValueError:  # x is no product of the common reflections
+                    pass
+        assert embedded == 192 + 192 + 240
         with pytest.raises(AssertionError, match="a Scalar was formed"):
             build_group("B3").roots
+
+    def test_only_coxeter_and_the_package_import_algebra(self):
+        def imported(node):
+            if isinstance(node, ast.Import):
+                return {alias.name for alias in node.names}
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    base = "dualcox" + ("." + base if base else "")
+                return {base} | {f"{base}.{alias.name}" for alias in node.names}
+            return set()
+
+        importers = {
+            path.stem
+            for path in Path(coxeter.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if "dualcox.algebra" in imported(node)
+        }
+        assert importers == {"coxeter", "__init__"}
 
     def test_concurrent_builds_share_one_system(self, monkeypatch):
         monkeypatch.setattr(coxeter, "_BUILD_CACHE", {})
@@ -345,21 +376,42 @@ class TestElementOps:
         assert {type(y.images) for y in made} == {kind}
         assert made[-1] == element_from_simple_word(g, made[-1].s_word())
 
+    def test_an_element_is_its_group_and_root_action(self):
+        assert coxeter.Element.__slots__ == ("group", "images")
+        assert not hasattr(coxeter, "ReflWord")
+        assert not hasattr(build_group("I2(7)"), "dihedral_m")
+        for name in ("B3", "A16"):  # a bytes group and a tuple one
+            x = element_from_simple_word(build_group(name), [0, 1, 2, 1])
+            assert hash(x) == hash(x.images)
+        x = element_from_simple_word(build_group("B3"), [0, 1, 2])
+        assert x.matrix() is not x.matrix() and x.matrix() == x.matrix()
+
     def test_mixed_groups_rejected(self):
         a, b = build_group("A2"), build_group("B2")
         with pytest.raises(MixedGroupsError):
             a.identity * b.identity
 
     def test_matrix_agrees_with_root_action(self):
-        # B2xH3 and H3xA1 mix a simple-root-basis block with dot-product ones
+        # B2xH3 and H3xA1 mix a simple-root-basis block with dot-product ones.
+        # The identity and the simple reflections act on every root as their
+        # root action does, and every other element's matrix is its parent's
+        # (one step nearer the identity) times a simple one: by induction on
+        # length, every element's matrix acts on the roots as it does
         for name in ("A2", "G2", "H3", "B2xH3", "H3xA1"):
             g = build_group(name)
-            for x in enumerate_group(g):
-                m = x.matrix()
+            simple = [s.matrix() for s in g.simple]
+            for x, m in ((g.identity, g.identity.matrix()), *zip(g.simple, simple)):
                 for t, e in enumerate(x.images[0::2]):
-                    image = m.apply(g.roots[t])
                     root = g.roots[e >> 1]
-                    assert image == (tuple(-c for c in root) if e & 1 else root)
+                    assert m.apply(g.roots[t]) == (tuple(-c for c in root) if e & 1 else root)
+            matrices = {g.identity.images: g.identity.matrix()}
+            for y in enumerate_group(g):  # breadth first: parents come first
+                for s, ms in zip(g.simple, simple):
+                    x = y * s
+                    if x.images not in matrices:
+                        m = matrices[x.images] = x.matrix()
+                        assert m == matrices[y.images] @ ms
+            assert len(matrices) == g.order
 
     @pytest.mark.parametrize("name", ["B3", "H3", "B2xH3", "H3xA1"])
     def test_reflection_matrices_are_orthogonal_reflections(self, name):
@@ -427,8 +479,22 @@ class TestElementOps:
             assert element_from_simple_word(g, x.s_word()) == x
 
     def test_enumeration_cap(self):
-        with pytest.raises(GroupTooLargeError):
-            enumerate_group(build_group("A3"), cap=10)
+        g = build_group("A3")
+        g.clear_caches()
+        for state in ("cold", "warm"):
+            with pytest.raises(GroupTooLargeError,
+                               match=r"^A3 has 24 elements, above the cap of 10$"):
+                enumerate_group(g, cap=10)
+            assert len(enumerate_group(g, cap=24)) == 24, state
+
+    def test_enumeration_refuses_from_the_order_before_any_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cayley_bfs was called")
+
+        monkeypatch.setattr(coxeter, "cayley_bfs", refuse)
+        with pytest.raises(GroupTooLargeError,
+                           match=r"^E8 has 696729600 elements, above the cap of 100000$"):
+            enumerate_group(build_group("E8"))
 
     def test_cayley_cap_error_says_how_far_it_got(self):
         g = build_group("A3")

@@ -1,6 +1,8 @@
 """Reflection subgroup closure, canonical generators, components, parabolicity."""
 
 import random
+import sys
+import threading
 import time
 from itertools import combinations
 
@@ -12,9 +14,13 @@ from dualcox import (
     InternalInvariantError,
     MixedGroupsError,
     NotQuasiCoxeterError,
+    ReflectionSubgroup,
+    all_decompositions,
     build_group,
     canonical_generators,
     contains_element,
+    coxeter,
+    cycle_decomposition,
     decomposition_in_subgroup,
     element_from_refl_word,
     element_from_simple_word,
@@ -23,6 +29,9 @@ from dualcox import (
     full_subgroup,
     is_parabolic,
     iter_reduced,
+    orbit_search,
+    parabolic_closure,
+    permmodel,
     reflection_closure,
     subgroups,
 )
@@ -190,6 +199,59 @@ class TestComponents:
                 scratch = subgroups.ReflectionSubgroup(g, s.refl_set)
                 assert summary(s) == summary(scratch)
         assert split > 0
+
+
+def handed_out(g) -> list:
+    """Subgroups of B4 from every route that hands one out: closures,
+    the full group, components, orbit subgroups and decomposition closures."""
+    x = element_from_simple_word(g, [0, 2, 3])  # a parabolic closure A1xA2
+    w = permmodel.element_from_signed(g, permmodel.signed_from_cycles(
+        4, permmodel.parse_cycles("(1,-2,-1,2)(3,4,-3,-4)")))  # orbits D4, B2xB2
+    orbit_subgroups = [o.subgroup for o in orbit_search(w)]
+    found = [reflection_closure(g, [0, 2]), parabolic_closure(x), full_subgroup(g),
+             *orbit_subgroups]
+    found += [c for sub in list(found) for c in sub.components]
+    decompositions = [cycle_decomposition(x), *(d for _, d in all_decompositions(w).entries),
+                      decomposition_in_subgroup(w, orbit_subgroups[-1])]
+    for dec in decompositions:
+        found += [dec.ambient, *dec.factor_closures]
+    return found
+
+
+class TestInterning:
+    def test_every_route_hands_out_the_registry_object(self, monkeypatch):
+        assert "__eq__" not in vars(ReflectionSubgroup)
+        assert "__hash__" not in vars(ReflectionSubgroup)
+        monkeypatch.setattr(coxeter, "_BUILD_CACHE", {})
+        barrier = threading.Barrier(4)
+        runs = []
+
+        def run():
+            barrier.wait()
+            runs.append(handed_out(build_group("B4")))
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and len(runs) == 4
+        g = build_group("B4")
+        runs.append(handed_out(g))
+        g.clear_caches()
+        runs.append(handed_out(g))
+        registry = g._subgroup_registry
+        first = runs[0]
+        assert len({s.type_string for s in first}) >= 6
+        for found in runs:
+            assert len(found) == len(first)
+            assert all(s is registry[s.refl_set] for s in found)
+            assert all(s is t for s, t in zip(found, first))
 
 
 class TestParabolicity:
